@@ -10,11 +10,11 @@
 #include "smt/QueryCache.h"
 #include "smt/Solver.h"
 #include "smt/Term.h"
+#include "support/TempDir.h"
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <unistd.h>
 #include <sstream>
 
 using namespace exo;
@@ -37,14 +37,16 @@ exo::bench::compileAndRun(const std::string &CSource,
                           const std::vector<std::string> &ExtraSources,
                           const std::vector<std::string> &IncludeDirs,
                           const std::string &ExtraCFlags) {
-  static int Counter = 0;
-  std::string Dir = "/tmp/exocc_bench";
-  (void)std::system(("mkdir -p " + Dir).c_str());
-  std::string Tag = std::to_string(getpid()) + "_" + std::to_string(Counter++);
-  std::string CPath = Dir + "/gen_" + Tag + ".c";
-  std::string Bin = Dir + "/gen_" + Tag + ".bin";
-  std::string OutPath = Dir + "/gen_" + Tag + ".out";
-  std::string ErrPath = Dir + "/gen_" + Tag + ".err";
+  // A fresh directory under $TMPDIR per call, removed on return.
+  support::TempDir Dir("bench");
+  if (!Dir.valid())
+    return makeError(Error::Kind::Internal,
+                     "cannot create a scratch directory under " +
+                         support::TempDir::tempRoot());
+  std::string CPath = Dir.file("gen.c");
+  std::string Bin = Dir.file("gen.bin");
+  std::string OutPath = Dir.file("gen.out");
+  std::string ErrPath = Dir.file("gen.err");
   {
     std::ofstream F(CPath);
     F << CSource;

@@ -25,7 +25,8 @@ namespace bench {
 
 /// Compiles \p CSource (already containing any #includes it needs) plus
 /// \p ExtraSources and runs the binary; returns the whitespace-separated
-/// tokens it printed to stdout.
+/// tokens it printed to stdout. Builds in a fresh support::TempDir (under
+/// $TMPDIR) that is removed on return.
 Expected<std::vector<std::string>>
 compileAndRun(const std::string &CSource,
               const std::vector<std::string> &ExtraSources,

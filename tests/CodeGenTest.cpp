@@ -10,6 +10,7 @@
 #include "backend/Memory.h"
 #include "interp/Interp.h"
 #include "scheduling/Schedule.h"
+#include "support/TempDir.h"
 
 #include <gtest/gtest.h>
 
@@ -174,18 +175,23 @@ std::vector<double> compileAndRun(const std::string &CCode,
                                   const std::string &MainCode,
                                   bool &Ok) {
   Ok = false;
-  std::string Dir = ::testing::TempDir();
-  std::string CPath = Dir + "/exo_gen.c";
-  std::string Bin = Dir + "/exo_gen_bin";
-  std::string OutPath = Dir + "/exo_gen_out.txt";
+  // A directory per call: the exec tests run as separate processes under
+  // ctest -j, so fixed names in a shared directory would race.
+  support::TempDir Dir("codegen_test");
+  if (!Dir.valid())
+    return {};
+  std::string CPath = Dir.file("exo_gen.c");
+  std::string Bin = Dir.file("exo_gen_bin");
+  std::string OutPath = Dir.file("exo_gen_out.txt");
+  std::string ErrPath = Dir.file("cc_err.txt");
   {
     std::ofstream F(CPath);
     F << CCode << "\n#include <stdio.h>\n" << MainCode;
   }
   std::string Cmd = "cc -O1 -std=c11 -o " + Bin + " " + CPath +
-                    " -lm 2> " + Dir + "/cc_err.txt";
+                    " -lm 2> " + ErrPath;
   if (std::system(Cmd.c_str()) != 0) {
-    std::ifstream E(Dir + "/cc_err.txt");
+    std::ifstream E(ErrPath);
     std::string Line;
     while (std::getline(E, Line))
       fprintf(stderr, "cc: %s\n", Line.c_str());
