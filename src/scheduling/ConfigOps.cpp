@@ -74,15 +74,15 @@ struct ConfigInsertion {
 
 } // namespace
 
-Expected<ProcRef> exo::scheduling::configWriteAt(const ProcRef &P,
-                                                 const std::string &StmtPat,
+Expected<ProcRef> exo::scheduling::configWriteAt(const Cursor &Stmt,
                                                  const ConfigRef &Cfg,
                                                  const std::string &Field,
                                                  const std::string &ValueSrc) {
   ScopedOpName OpName("configwrite_at");
-  auto C = findStmts(*P, StmtPat);
+  auto C = targetOf(Stmt);
   if (!C)
     return C.error();
+  const ProcRef &P = Stmt.proc();
   OpContext Op(P, *C);
   StmtRef S = Op.stmt();
   std::set<Sym> SelfReads;
@@ -112,16 +112,15 @@ Expected<ProcRef> exo::scheduling::configWriteRoot(const ProcRef &P,
                    {Ins.FieldSym});
 }
 
-Expected<ProcRef> exo::scheduling::bindConfig(const ProcRef &P,
-                                              const std::string &StmtPat,
+Expected<ProcRef> exo::scheduling::bindConfig(const Cursor &Stmt,
                                               const std::string &ExprPat,
                                               const ConfigRef &Cfg,
                                               const std::string &Field) {
   ScopedOpName OpName("bind_config");
-  auto C = findStmts(*P, StmtPat);
+  auto C = targetOf(Stmt);
   if (!C)
     return C.error();
-  OpContext Op(P, *C);
+  OpContext Op(Stmt.proc(), *C);
   StmtRef S = Op.stmt();
   const ConfigDecl::Field *F = Cfg->findField(Field);
   if (!F)
@@ -218,4 +217,28 @@ Expected<ProcRef> exo::scheduling::bindConfig(const ProcRef &P,
 
   StmtRef Write = Stmt::writeConfig(Cfg->name(), F->Name, Found);
   return Op.derive({Write, NewStmt}, {F->Name});
+}
+
+//===----------------------------------------------------------------------===//
+// Pattern spellings
+//===----------------------------------------------------------------------===//
+
+Expected<ProcRef> exo::scheduling::configWriteAt(const ProcRef &P,
+                                                 const std::string &StmtPat,
+                                                 const ConfigRef &Cfg,
+                                                 const std::string &Field,
+                                                 const std::string &ValueSrc) {
+  return atPattern(P, StmtPat, [&](const Cursor &C) {
+    return configWriteAt(C, Cfg, Field, ValueSrc);
+  });
+}
+
+Expected<ProcRef> exo::scheduling::bindConfig(const ProcRef &P,
+                                              const std::string &StmtPat,
+                                              const std::string &ExprPat,
+                                              const ConfigRef &Cfg,
+                                              const std::string &Field) {
+  return atPattern(P, StmtPat, [&](const Cursor &C) {
+    return bindConfig(C, ExprPat, Cfg, Field);
+  });
 }

@@ -15,14 +15,13 @@
 /// the cursor in the derived procedure or fails with a structured
 /// ScheduleErrorInfo naming the operator that consumed it.
 ///
-/// Every primitive scheduling operator has a cursor-taking overload
-/// below. The overloads synthesize the unique pattern that re-finds the
-/// cursor's selection (`pattern()`) and call the string-pattern
-/// primitive, so a cursor-addressed rewrite is *identical* — fresh-name
-/// minting and all — to its pattern-addressed spelling. The win is
-/// addressing: a cursor obtained by navigation can point at code no
-/// unambiguous pattern string exists for (e.g. one of two same-named
-/// loops at different nesting depths).
+/// The cursor is the primitive operators' real argument: each operator
+/// below has exactly one implementation, and it takes a Cursor. The
+/// pattern spellings in Schedule.h are thin entry points that resolve
+/// their pattern to a cursor once (Cursor::find) and call the cursor form,
+/// so both spellings perform the same rewrite. A cursor obtained by
+/// navigation can point at code no unambiguous pattern string exists for
+/// (e.g. one of two same-named loops at different nesting depths).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,11 +94,6 @@ public:
   /// invalidated) instead of folding it into an Error.
   ForwardResult forwardResult(const ProcRef &Target) const;
 
-  /// The unique pattern string that re-finds this selection (see
-  /// patternFor); how the operator overloads below reuse the
-  /// pattern-based primitives. Errors on gap cursors.
-  Expected<std::string> pattern() const;
-
   /// Diagnostic rendering: "gemmini_matmul@[2.body, 0.body] 1:3".
   std::string str() const;
 
@@ -111,11 +105,11 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// Cursor-taking overloads of every primitive operator. Each resolves the
-// cursor to its unique pattern and applies the string-pattern primitive
-// to the cursor's anchor procedure — byte-identical rewrites, stable
-// addressing. Selection-width operators (stageMem, replaceWith) take the
-// count from the cursor itself.
+// The primitive operators, addressed by cursor (semantics in Schedule.h).
+// Single-target operators act on the first statement of the selection;
+// selection-width operators (stageMem, replaceWith) act on all of it. The
+// rewrite happens in the cursor's anchor procedure; null and gap cursors
+// are errors.
 //===----------------------------------------------------------------------===//
 
 Expected<ProcRef> splitLoop(const Cursor &Loop, int64_t Factor,

@@ -31,8 +31,7 @@ TriBool loopBoundsPremise(AnalysisCtx &Ctx, const FlowState &State,
 
 } // namespace
 
-Expected<ProcRef> exo::scheduling::splitLoop(const ProcRef &P,
-                                             const std::string &LoopPat,
+Expected<ProcRef> exo::scheduling::splitLoop(const Cursor &LoopC,
                                              int64_t Factor,
                                              const std::string &OuterName,
                                              const std::string &InnerName,
@@ -40,10 +39,10 @@ Expected<ProcRef> exo::scheduling::splitLoop(const ProcRef &P,
   ScopedOpName OpName("split");
   if (Factor <= 1)
     return makeError(Error::Kind::Scheduling, "split factor must be > 1");
-  auto C = findOneOfKind(*P, LoopPat, StmtKind::For, "a loop");
+  auto C = targetOfKind(LoopC, StmtKind::For, "a loop");
   if (!C)
     return C.error();
-  OpContext Op(P, *C);
+  OpContext Op(LoopC.proc(), *C);
   StmtRef Loop = Op.stmt();
   if (Loop->lo()->kind() != ExprKind::Const || Loop->lo()->intValue() != 0)
     return makeError(Error::Kind::Scheduling,
@@ -82,7 +81,7 @@ Expected<ProcRef> exo::scheduling::splitLoop(const ProcRef &P,
     smt::TermRef Divides =
         smt::mkAnd(HiV.Def, smt::eq(smt::mod(HiV.Val, Factor),
                                     smt::intConst(0)));
-    if (auto E = checkProved(Op.Ctx, Info.PathCond, Divides, "split", LoopPat,
+    if (auto E = checkProved(Op.Ctx, Info.PathCond, Divides, "split",
                              "for " + Loop->name().name() + " in _: _",
                              "split(perfect): cannot prove " +
                                  std::to_string(Factor) + " divides " +
@@ -118,13 +117,12 @@ Expected<ProcRef> exo::scheduling::splitLoop(const ProcRef &P,
   return Op.derive(Replacement);
 }
 
-Expected<ProcRef> exo::scheduling::reorderLoops(const ProcRef &P,
-                                                const std::string &LoopPat) {
+Expected<ProcRef> exo::scheduling::reorderLoops(const Cursor &Loop) {
   ScopedOpName OpName("reorder");
-  auto C = findOneOfKind(*P, LoopPat, StmtKind::For, "a loop");
+  auto C = targetOfKind(Loop, StmtKind::For, "a loop");
   if (!C)
     return C.error();
-  OpContext Op(P, *C);
+  OpContext Op(Loop.proc(), *C);
   StmtRef OuterLoop = Op.stmt();
   if (OuterLoop->body().size() != 1 ||
       OuterLoop->body()[0]->kind() != StmtKind::For)
@@ -170,7 +168,6 @@ Expected<ProcRef> exo::scheduling::reorderLoops(const ProcRef &P,
   Premise = triAnd(Premise, TriBool::certain(smt::mkAnd(
                                 smt::lt(X1, X2), smt::lt(Y2, Y1))));
   if (auto E = checkProved(Ctx, Premise, commutesCond(A1, A2), "reorder",
-                           LoopPat,
                            "for " + OuterLoop->name().name() + " in _: for " +
                                InnerLoop->name().name() + " in _: _",
                            "reorder: loop iterations do not commute"))
@@ -183,7 +180,7 @@ Expected<ProcRef> exo::scheduling::reorderLoops(const ProcRef &P,
       seqEffects(extractExprReads(Ctx, Info.Pre, InnerLoop->lo()),
                  extractExprReads(Ctx, Info.Pre, InnerLoop->hi()));
   if (auto E = checkProved(Ctx, Info.PathCond, commutesCond(BoundReads, A1),
-                           "reorder", LoopPat,
+                           "reorder",
                            "for " + InnerLoop->name().name() + " in _: _",
                            "reorder: inner bounds conflict with the body"))
     return *E;
@@ -195,13 +192,12 @@ Expected<ProcRef> exo::scheduling::reorderLoops(const ProcRef &P,
   return Op.derive({NewOuter});
 }
 
-Expected<ProcRef> exo::scheduling::unrollLoop(const ProcRef &P,
-                                              const std::string &LoopPat) {
+Expected<ProcRef> exo::scheduling::unrollLoop(const Cursor &LoopC) {
   ScopedOpName OpName("unroll");
-  auto C = findOneOfKind(*P, LoopPat, StmtKind::For, "a loop");
+  auto C = targetOfKind(LoopC, StmtKind::For, "a loop");
   if (!C)
     return C.error();
-  OpContext Op(P, *C);
+  OpContext Op(LoopC.proc(), *C);
   StmtRef Loop = Op.stmt();
   ExprRef Lo = simplifyExpr(Loop->lo());
   ExprRef Hi = simplifyExpr(Loop->hi());
@@ -225,14 +221,13 @@ Expected<ProcRef> exo::scheduling::unrollLoop(const ProcRef &P,
   return Op.derive(Replacement);
 }
 
-Expected<ProcRef> exo::scheduling::partitionLoop(const ProcRef &P,
-                                                 const std::string &LoopPat,
+Expected<ProcRef> exo::scheduling::partitionLoop(const Cursor &LoopC,
                                                  int64_t Cut) {
   ScopedOpName OpName("partition_loop");
-  auto C = findOneOfKind(*P, LoopPat, StmtKind::For, "a loop");
+  auto C = targetOfKind(LoopC, StmtKind::For, "a loop");
   if (!C)
     return C.error();
-  OpContext Op(P, *C);
+  OpContext Op(LoopC.proc(), *C);
   StmtRef Loop = Op.stmt();
 
   const ContextInfo &Info = Op.info();
@@ -242,7 +237,6 @@ Expected<ProcRef> exo::scheduling::partitionLoop(const ProcRef &P,
       smt::mkAnd(LoV.Def, HiV.Def),
       smt::le(smt::add(LoV.Val, smt::intConst(Cut)), HiV.Val));
   if (auto E = checkProved(Op.Ctx, Info.PathCond, Fits, "partition_loop",
-                           LoopPat,
                            "for " + Loop->name().name() + " in _: _",
                            "partition_loop: cannot prove lo + " +
                                std::to_string(Cut) + " <= hi"))
@@ -260,13 +254,12 @@ Expected<ProcRef> exo::scheduling::partitionLoop(const ProcRef &P,
   return Op.derive({L1, L2});
 }
 
-Expected<ProcRef> exo::scheduling::removeLoop(const ProcRef &P,
-                                              const std::string &LoopPat) {
+Expected<ProcRef> exo::scheduling::removeLoop(const Cursor &LoopC) {
   ScopedOpName OpName("remove_loop");
-  auto C = findOneOfKind(*P, LoopPat, StmtKind::For, "a loop");
+  auto C = targetOfKind(LoopC, StmtKind::For, "a loop");
   if (!C)
     return C.error();
-  OpContext Op(P, *C);
+  OpContext Op(LoopC.proc(), *C);
   StmtRef Loop = Op.stmt();
   if (freeVars(Loop->body()).count(Loop->name()))
     return makeError(Error::Kind::Scheduling,
@@ -280,7 +273,7 @@ Expected<ProcRef> exo::scheduling::removeLoop(const ProcRef &P,
   smt::TermRef NonEmpty = smt::mkAnd(smt::mkAnd(LoV.Def, HiV.Def),
                                      smt::lt(LoV.Val, HiV.Val));
   if (auto E = checkProved(
-          Ctx, Info.PathCond, NonEmpty, "remove_loop", LoopPat,
+          Ctx, Info.PathCond, NonEmpty, "remove_loop",
           "for " + Loop->name().name() + " in _: _",
           "remove_loop: cannot prove the loop runs at least once"))
     return *E;
@@ -291,7 +284,7 @@ Expected<ProcRef> exo::scheduling::removeLoop(const ProcRef &P,
   FlowState S2 = Info.Pre;
   EffectSets A2 = extractBlock(Ctx, S2, Loop->body());
   if (auto E = checkProved(Ctx, Info.PathCond, shadowsCond(A, A2),
-                           "remove_loop", LoopPat,
+                           "remove_loop",
                            "for " + Loop->name().name() + " in _: _",
                            "remove_loop: body is not provably idempotent"))
     return *E;
@@ -299,12 +292,12 @@ Expected<ProcRef> exo::scheduling::removeLoop(const ProcRef &P,
   return Op.derive(Loop->body());
 }
 
-Expected<ProcRef> exo::scheduling::fuseLoops(const ProcRef &P,
-                                             const std::string &LoopPat) {
+Expected<ProcRef> exo::scheduling::fuseLoops(const Cursor &Loop) {
   ScopedOpName OpName("fuse_loop");
-  auto C = findOneOfKind(*P, LoopPat, StmtKind::For, "a loop");
+  auto C = targetOfKind(Loop, StmtKind::For, "a loop");
   if (!C)
     return C.error();
+  const ProcRef &P = Loop.proc();
   const Block &B = blockAt(*P, *C);
   if (C->Begin + 1 >= B.size() ||
       B[C->Begin + 1]->kind() != StmtKind::For)
@@ -325,7 +318,6 @@ Expected<ProcRef> exo::scheduling::fuseLoops(const ProcRef &P,
       smt::mkAnd({Lo1.Def, Lo2.Def, Hi1.Def, Hi2.Def,
                   smt::eq(Lo1.Val, Lo2.Val), smt::eq(Hi1.Val, Hi2.Val)});
   if (auto E = checkProved(Ctx, Info.PathCond, SameBounds, "fuse_loop",
-                           LoopPat,
                            "for " + L1->name().name() + " in _: _",
                            "fuse_loop: loop bounds are not provably equal"))
     return *E;
@@ -347,7 +339,6 @@ Expected<ProcRef> exo::scheduling::fuseLoops(const ProcRef &P,
                    loopBoundsPremise(Ctx, Info.Pre, L2->lo(), L2->hi(), X2));
   Premise = triAnd(Premise, TriBool::certain(smt::lt(X2, X1)));
   if (auto E = checkProved(Ctx, Premise, commutesCond(A1, A2), "fuse_loop",
-                           LoopPat,
                            "for " + L1->name().name() + " in _: _",
                            "fuse_loop: moved iterations do not commute"))
     return *E;
@@ -365,12 +356,12 @@ Expected<ProcRef> exo::scheduling::fuseLoops(const ProcRef &P,
   return deriveProc(P, replaceRange(P->body(), Two, {NewLoop}), Two, 1);
 }
 
-Expected<ProcRef> exo::scheduling::liftIf(const ProcRef &P,
-                                          const std::string &IfPat) {
+Expected<ProcRef> exo::scheduling::liftIf(const Cursor &IfC) {
   ScopedOpName OpName("lift_if");
-  auto C = findOneOfKind(*P, IfPat, StmtKind::If, "an if");
+  auto C = targetOfKind(IfC, StmtKind::If, "an if");
   if (!C)
     return C.error();
+  const ProcRef &P = IfC.proc();
   if (C->Path.empty())
     return makeError(Error::Kind::Scheduling,
                      "lift_if: the if has no enclosing statement");
@@ -402,4 +393,62 @@ Expected<ProcRef> exo::scheduling::liftIf(const ProcRef &P,
   StmtRef NewIf = Stmt::ifStmt(If->rhs(), {ThenLoop}, std::move(Orelse));
   return deriveProc(P, replaceRange(P->body(), ParentCur, {NewIf}), ParentCur,
                     1);
+}
+
+//===----------------------------------------------------------------------===//
+// Pattern spellings
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+template <typename Fn>
+Expected<ProcRef> atLoop(const ProcRef &P, const std::string &LoopPat,
+                         Fn &&F) {
+  return atPatternOfKind(P, LoopPat, StmtKind::For, "a loop", F);
+}
+
+} // namespace
+
+Expected<ProcRef> exo::scheduling::splitLoop(const ProcRef &P,
+                                             const std::string &LoopPat,
+                                             int64_t Factor,
+                                             const std::string &OuterName,
+                                             const std::string &InnerName,
+                                             SplitTail Tail) {
+  return atLoop(P, LoopPat, [&](const Cursor &C) {
+    return splitLoop(C, Factor, OuterName, InnerName, Tail);
+  });
+}
+
+Expected<ProcRef> exo::scheduling::reorderLoops(const ProcRef &P,
+                                                const std::string &LoopPat) {
+  return atLoop(P, LoopPat, [](const Cursor &C) { return reorderLoops(C); });
+}
+
+Expected<ProcRef> exo::scheduling::unrollLoop(const ProcRef &P,
+                                              const std::string &LoopPat) {
+  return atLoop(P, LoopPat, [](const Cursor &C) { return unrollLoop(C); });
+}
+
+Expected<ProcRef> exo::scheduling::partitionLoop(const ProcRef &P,
+                                                 const std::string &LoopPat,
+                                                 int64_t Cut) {
+  return atLoop(P, LoopPat,
+                [&](const Cursor &C) { return partitionLoop(C, Cut); });
+}
+
+Expected<ProcRef> exo::scheduling::removeLoop(const ProcRef &P,
+                                              const std::string &LoopPat) {
+  return atLoop(P, LoopPat, [](const Cursor &C) { return removeLoop(C); });
+}
+
+Expected<ProcRef> exo::scheduling::fuseLoops(const ProcRef &P,
+                                             const std::string &LoopPat) {
+  return atLoop(P, LoopPat, [](const Cursor &C) { return fuseLoops(C); });
+}
+
+Expected<ProcRef> exo::scheduling::liftIf(const ProcRef &P,
+                                          const std::string &IfPat) {
+  return atPatternOfKind(P, IfPat, StmtKind::If, "an if",
+                         [](const Cursor &C) { return liftIf(C); });
 }

@@ -234,16 +234,15 @@ private:
 
 } // namespace
 
-Expected<ProcRef> exo::scheduling::stageMem(const ProcRef &P,
-                                            const std::string &StmtPat,
-                                            unsigned Count,
+Expected<ProcRef> exo::scheduling::stageMem(const Cursor &Stmts,
                                             const std::string &WindowSrc,
                                             const std::string &NewName,
                                             const std::string &Mem) {
   ScopedOpName OpName("stage_mem");
-  auto C = findStmts(*P, StmtPat, Count);
+  auto C = selectionOf(Stmts);
   if (!C)
     return C.error();
+  const ProcRef &P = Stmts.proc();
   OpContext Op(P, *C);
   std::vector<StmtRef> Sel = Op.stmts();
 
@@ -401,11 +400,73 @@ StmtRef retypeStmt(const StmtRef &S, Sym Target, ScalarKind K) {
 
 } // namespace
 
+Expected<ProcRef> exo::scheduling::setMemory(const Cursor &Alloc,
+                                             const std::string &Mem) {
+  ScopedOpName OpName("set_memory");
+  auto C = targetOfKind(Alloc, StmtKind::Alloc, "an allocation");
+  if (!C)
+    return C.error();
+  OpContext Op(Alloc.proc(), *C);
+  StmtRef A = Op.stmt();
+  return Op.derive({Stmt::alloc(A->name(), A->allocType(), Mem)});
+}
+
+namespace {
+
+/// set_precision's rewrite: retypes the argument or allocation \p Target
+/// and every use of it.
+Expected<ProcRef> retypeBuffer(const ProcRef &P, Sym Target,
+                               ScalarKind Precision) {
+  if (!isDataScalar(Precision))
+    return makeError(Error::Kind::Scheduling,
+                     "set_precision: not a data precision");
+  auto Q = P->clone();
+  std::vector<FnArg> Args = P->args();
+  for (auto &A : Args)
+    if (A.Name == Target)
+      A.Ty = A.Ty.withElem(Precision);
+  Q->setArgs(std::move(Args));
+  Q->setBody(retypeBlock(P->body(), Target, Precision));
+  Q->setProvenance(P, {});
+  return ProcRef(Q);
+}
+
+} // namespace
+
+Expected<ProcRef> exo::scheduling::setPrecision(const Cursor &Alloc,
+                                                ScalarKind Precision) {
+  ScopedOpName OpName("set_precision");
+  auto C = targetOfKind(Alloc, StmtKind::Alloc, "an allocation");
+  if (!C)
+    return C.error();
+  const ProcRef &P = Alloc.proc();
+  return retypeBuffer(P, selectedStmts(*P, *C)[0]->name(), Precision);
+}
+
+//===----------------------------------------------------------------------===//
+// Name and pattern spellings
+//===----------------------------------------------------------------------===//
+
+Expected<ProcRef> exo::scheduling::stageMem(const ProcRef &P,
+                                            const std::string &StmtPat,
+                                            unsigned Count,
+                                            const std::string &WindowSrc,
+                                            const std::string &NewName,
+                                            const std::string &Mem) {
+  return atPattern(
+      P, StmtPat,
+      [&](const Cursor &C) { return stageMem(C, WindowSrc, NewName, Mem); },
+      Count);
+}
+
+// Arguments are not statements, so no cursor reaches them: set_memory and
+// set_precision retype an argument by name here, and an allocation through
+// its cursor form.
+
 Expected<ProcRef> exo::scheduling::setMemory(const ProcRef &P,
                                              const std::string &Name,
                                              const std::string &Mem) {
   ScopedOpName OpName("set_memory");
-  // Argument?
   for (size_t I = 0; I < P->args().size(); ++I) {
     if (P->args()[I].Name.name() == Name) {
       auto Q = P->clone();
@@ -416,43 +477,17 @@ Expected<ProcRef> exo::scheduling::setMemory(const ProcRef &P,
       return ProcRef(Q);
     }
   }
-  // Allocation.
-  auto C = findOneOfKind(*P, Name + " : _", StmtKind::Alloc, "an allocation");
-  if (!C)
-    return C.error();
-  OpContext Op(P, *C);
-  StmtRef Alloc = Op.stmt();
-  StmtRef NewAlloc = Stmt::alloc(Alloc->name(), Alloc->allocType(), Mem);
-  return Op.derive({NewAlloc});
+  return atPatternOfKind(P, Name + " : _", StmtKind::Alloc, "an allocation",
+                         [&](const Cursor &C) { return setMemory(C, Mem); });
 }
 
 Expected<ProcRef> exo::scheduling::setPrecision(const ProcRef &P,
                                                 const std::string &Name,
                                                 ScalarKind Precision) {
-  ScopedOpName OpName("set_precision");
-  if (!isDataScalar(Precision))
-    return makeError(Error::Kind::Scheduling,
-                     "set_precision: not a data precision");
-  // Argument?
-  Sym Target;
   for (auto &A : P->args())
     if (A.Name.name() == Name)
-      Target = A.Name;
-  if (!Target.valid()) {
-    auto C = findOneOfKind(*P, Name + " : _", StmtKind::Alloc,
-                           "an allocation");
-    if (!C)
-      return C.error();
-    Target = selectedStmts(*P, *C)[0]->name();
-  }
-
-  auto Q = P->clone();
-  std::vector<FnArg> Args = P->args();
-  for (auto &A : Args)
-    if (A.Name == Target)
-      A.Ty = A.Ty.withElem(Precision);
-  Q->setArgs(std::move(Args));
-  Q->setBody(retypeBlock(P->body(), Target, Precision));
-  Q->setProvenance(P, {});
-  return ProcRef(Q);
+      return retypeBuffer(P, A.Name, Precision);
+  return atPatternOfKind(
+      P, Name + " : _", StmtKind::Alloc, "an allocation",
+      [&](const Cursor &C) { return setPrecision(C, Precision); });
 }

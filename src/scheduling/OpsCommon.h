@@ -14,7 +14,7 @@
 #define EXO_SCHEDULING_OPSCOMMON_H
 
 #include "analysis/Checks.h"
-#include "scheduling/Schedule.h"
+#include "scheduling/Cursor.h"
 
 #include <optional>
 
@@ -40,14 +40,14 @@ ir::ProcRef deriveProc(const ir::ProcRef &Old, ir::Block NewBody,
 
 /// The deduplicated effect-extraction preamble the analysis-backed
 /// operators used to copy-paste: one AnalysisCtx plus the lazily-derived
-/// one-holed context of §6.1 for a resolved cursor. Construct it after
-/// pattern resolution succeeds; call info() only on the paths that need
+/// one-holed context of §6.1 for a resolved cursor. Construct it once
+/// the target is resolved; call info() only on the paths that need
 /// analysis (several operators have analysis-free fast paths). derive()
 /// splices a replacement at the cursor and stamps the dirty region.
 class OpContext {
 public:
-  OpContext(const ir::ProcRef &P, StmtCursor Cursor)
-      : P(P), C(std::move(Cursor)) {}
+  OpContext(const ir::ProcRef &P, StmtCursor Sel)
+      : P(P), C(std::move(Sel)) {}
 
   const StmtCursor &cursor() const { return C; }
   std::vector<ir::StmtRef> stmts() const {
@@ -99,26 +99,70 @@ private:
 /// elements) — shared by simplify() and the ops that synthesize indices.
 ir::ExprRef simplifyExpr(const ir::ExprRef &E);
 
-/// Convenience: cursor must select exactly one statement of kind \p K.
-Expected<StmtCursor> findOneOfKind(const ir::Proc &P,
-                                   const std::string &Pattern,
-                                   ir::StmtKind K, const char *What);
+/// The statement a single-target operator acts on: the first statement
+/// of \p C's selection. Null and gap cursors select none.
+Expected<StmtCursor> targetOf(const Cursor &C);
+
+/// The same, additionally requiring a statement of kind \p K (\p What
+/// names it in the error: "a loop", "an allocation", ...).
+Expected<StmtCursor> targetOfKind(const Cursor &C, ir::StmtKind K,
+                                  const char *What);
+
+/// The whole selection of a selection-width operator (stage_mem,
+/// replace). Null and gap cursors select nothing.
+Expected<StmtCursor> selectionOf(const Cursor &C);
+
+/// Resolves \p Pattern to a cursor that must select one statement of
+/// kind \p K; the error names the pattern.
+Expected<Cursor> findOneOfKind(const ir::ProcRef &P, const std::string &Pattern,
+                               ir::StmtKind K, const char *What);
+
+/// Records \p Pattern in \p E's ScheduleErrorInfo unless a pattern is
+/// already there; message, kind, operator and verdict stay as they are.
+Error stampPattern(const Error &E, const std::string &Pattern);
+
+/// The body of every pattern-addressed spelling: the pattern has been
+/// resolved to \p C (or failed to resolve) exactly once; run the cursor
+/// form \p F on it and stamp the pattern into any failure.
+template <typename Fn>
+Expected<ir::ProcRef> atCursor(const Expected<Cursor> &C,
+                               const std::string &Pattern, Fn &&F) {
+  Expected<ir::ProcRef> R = C ? F(*C) : Expected<ir::ProcRef>(C.error());
+  if (!R)
+    return stampPattern(R.error(), Pattern);
+  return R;
+}
+
+/// Pattern entry points: resolve, then run the cursor form.
+template <typename Fn>
+Expected<ir::ProcRef> atPattern(const ir::ProcRef &P,
+                                const std::string &Pattern, Fn &&F,
+                                unsigned Count = 1) {
+  return atCursor(Cursor::find(P, Pattern, Count), Pattern, F);
+}
+template <typename Fn>
+Expected<ir::ProcRef> atPatternOfKind(const ir::ProcRef &P,
+                                      const std::string &Pattern,
+                                      ir::StmtKind K, const char *What,
+                                      Fn &&F) {
+  return atCursor(findOneOfKind(P, Pattern, K, What), Pattern, F);
+}
 
 /// Discharges a safety condition under the premise. On success returns
 /// nullopt; on failure, a Safety error whose structured payload records
-/// the operator, the pattern/location it was working on, and the solver's
-/// verdict (No vs. Unknown-budget vs. Unknown-structural).
+/// the operator, the location it was working on, and the solver's
+/// verdict (No vs. Unknown-budget vs. Unknown-structural). Pattern
+/// spellings add their pattern on the way out (stampPattern).
 inline std::optional<Error>
 checkProved(analysis::AnalysisCtx &Ctx, const analysis::TriBool &Premise,
-            const smt::TermRef &Cond, const char *Op, std::string Pattern,
-            std::string Loc, std::string Msg) {
+            const smt::TermRef &Cond, const char *Op, std::string Loc,
+            std::string Msg) {
   ScheduleErrorInfo::Verdict V =
       analysis::dischargeUnderPremise(Ctx, Premise, Cond);
   if (V == ScheduleErrorInfo::Verdict::Yes)
     return std::nullopt;
   ScheduleErrorInfo Info;
   Info.Op = Op;
-  Info.Pattern = std::move(Pattern);
   Info.Loc = std::move(Loc);
   Info.SolverVerdict = V;
   return makeScheduleError(Error::Kind::Safety, std::move(Msg),

@@ -77,23 +77,53 @@ ProcRef exo::scheduling::deriveProc(const ProcRef &Old, Block NewBody,
   return finishDerive(std::move(P), std::move(Dirty));
 }
 
-Expected<StmtCursor> exo::scheduling::findOneOfKind(const Proc &P,
-                                                    const std::string &Pattern,
-                                                    StmtKind K,
-                                                    const char *What) {
-  ScheduleErrorInfo Info;
-  Info.Pattern = Pattern;
-  auto C = findStmts(P, Pattern);
-  if (!C)
-    return C.error().scheduleInfo() ? C.error()
-                                    : C.error().withScheduleInfo(Info);
-  auto Sel = selectedStmts(P, *C);
-  if (Sel.size() != 1 || Sel[0]->kind() != K)
-    return makeScheduleError(Error::Kind::Pattern,
-                             std::string("pattern '") + Pattern +
-                                 "' did not select " + What,
-                             std::move(Info));
+Expected<StmtCursor> exo::scheduling::targetOf(const Cursor &C) {
+  if (C.null())
+    return makeError(Error::Kind::Scheduling, "operation on a null cursor");
+  if (C.isGap())
+    return makeError(Error::Kind::Scheduling,
+                     "a gap cursor selects no statement");
+  StmtCursor One = C.raw();
+  One.End = One.Begin + 1;
+  return One;
+}
+
+Expected<StmtCursor> exo::scheduling::targetOfKind(const Cursor &C,
+                                                   StmtKind K,
+                                                   const char *What) {
+  auto T = targetOf(C);
+  if (T && selectedStmts(*C.proc(), *T)[0]->kind() != K)
+    return makeError(Error::Kind::Pattern,
+                     "cursor " + C.str() + " did not select " + What);
+  return T;
+}
+
+Expected<StmtCursor> exo::scheduling::selectionOf(const Cursor &C) {
+  auto T = targetOf(C);
+  if (!T)
+    return T.error();
+  return C.raw();
+}
+
+Expected<Cursor> exo::scheduling::findOneOfKind(const ProcRef &P,
+                                                const std::string &Pattern,
+                                                StmtKind K,
+                                                const char *What) {
+  auto C = Cursor::find(P, Pattern);
+  if (C && C->stmts()[0]->kind() != K)
+    return makeError(Error::Kind::Pattern, std::string("pattern '") +
+                                               Pattern + "' did not select " +
+                                               What);
   return C;
+}
+
+Error exo::scheduling::stampPattern(const Error &E,
+                                    const std::string &Pattern) {
+  ScheduleErrorInfo Info =
+      E.scheduleInfo() ? *E.scheduleInfo() : ScheduleErrorInfo();
+  if (Info.Pattern.empty())
+    Info.Pattern = Pattern;
+  return E.withScheduleInfo(std::move(Info));
 }
 
 namespace {
@@ -549,25 +579,25 @@ Expected<ProcRef> exo::scheduling::deletePass(const ProcRef &P) {
   return deriveProc(P, std::move(NewBody));
 }
 
-Expected<ProcRef> exo::scheduling::inlineCall(const ProcRef &P,
-                                              const std::string &CallPat) {
+Expected<ProcRef> exo::scheduling::inlineCall(const Cursor &CallC) {
   ScopedOpName Op("inline");
-  auto C = findOneOfKind(*P, CallPat, StmtKind::Call, "a call");
+  auto C = targetOfKind(CallC, StmtKind::Call, "a call");
   if (!C)
     return C.error();
+  const ProcRef &P = CallC.proc();
   StmtRef Call = selectedStmts(*P, *C)[0];
   Block Inlined = substitutedCalleeBody(Call);
   unsigned NewCount = unsigned(Inlined.size());
   return deriveProc(P, replaceRange(P->body(), *C, Inlined), *C, NewCount);
 }
 
-Expected<ProcRef> exo::scheduling::callEqv(const ProcRef &P,
-                                           const std::string &CallPat,
+Expected<ProcRef> exo::scheduling::callEqv(const Cursor &CallC,
                                            const ProcRef &NewCallee) {
   ScopedOpName Op("call_eqv");
-  auto C = findOneOfKind(*P, CallPat, StmtKind::Call, "a call");
+  auto C = targetOfKind(CallC, StmtKind::Call, "a call");
   if (!C)
     return C.error();
+  const ProcRef &P = CallC.proc();
   StmtRef Call = selectedStmts(*P, *C)[0];
   const ProcRef &Old = Call->proc();
   auto Delta = equivalenceDelta(Old, NewCallee);
@@ -594,6 +624,20 @@ Expected<ProcRef> exo::scheduling::callEqv(const ProcRef &P,
 
   StmtRef NewCall = Stmt::call(NewCallee, Call->args());
   return deriveProc(P, replaceRange(P->body(), *C, {NewCall}), *C, 1, *Delta);
+}
+
+Expected<ProcRef> exo::scheduling::inlineCall(const ProcRef &P,
+                                              const std::string &CallPat) {
+  return atPatternOfKind(P, CallPat, StmtKind::Call, "a call",
+                         [](const Cursor &C) { return inlineCall(C); });
+}
+
+Expected<ProcRef> exo::scheduling::callEqv(const ProcRef &P,
+                                           const std::string &CallPat,
+                                           const ProcRef &NewCallee) {
+  return atPatternOfKind(
+      P, CallPat, StmtKind::Call, "a call",
+      [&](const Cursor &C) { return callEqv(C, NewCallee); });
 }
 
 ProcRef exo::scheduling::renameProc(const ProcRef &P,

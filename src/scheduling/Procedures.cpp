@@ -6,6 +6,8 @@
 
 #include "scheduling/Procedures.h"
 
+#include "scheduling/OpsCommon.h"
+
 #include <algorithm>
 
 using namespace exo;
@@ -140,10 +142,9 @@ Expected<ProcRef> exo::scheduling::tile2D(const ProcRef &P,
                                           const std::string &OuterJ,
                                           const std::string &InnerJ,
                                           SplitTail Tail) {
-  auto C = Cursor::find(P, Schedule::loopPattern(LoopI));
-  if (!C)
-    return C.error();
-  return tile2D(*C, TileI, TileJ, OuterI, InnerI, OuterJ, InnerJ, Tail);
+  return atPattern(P, Schedule::loopPattern(LoopI), [&](const Cursor &C) {
+    return tile2D(C, TileI, TileJ, OuterI, InnerI, OuterJ, InnerJ, Tail);
+  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -220,11 +221,10 @@ Expected<ProcRef> exo::scheduling::stageAndVectorize(
     const std::string &WindowSrc, const std::string &NewName,
     const std::string &Mem, int64_t Lanes, const std::string &OuterName,
     const std::string &InnerName) {
-  auto C = Cursor::find(P, StmtPat);
-  if (!C)
-    return C.error();
-  return stageAndVectorize(*C, WindowSrc, NewName, Mem, Lanes, OuterName,
-                           InnerName);
+  return atPattern(P, StmtPat, [&](const Cursor &C) {
+    return stageAndVectorize(C, WindowSrc, NewName, Mem, Lanes, OuterName,
+                             InnerName);
+  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -272,10 +272,9 @@ Expected<ProcRef> exo::scheduling::autoDivide(const ProcRef &P,
                                               int64_t MaxFactor,
                                               const std::string &OuterName,
                                               const std::string &InnerName) {
-  auto C = Cursor::find(P, Schedule::loopPattern(LoopPat));
-  if (!C)
-    return C.error();
-  return autoDivide(*C, MaxFactor, OuterName, InnerName);
+  return atPattern(P, Schedule::loopPattern(LoopPat), [&](const Cursor &C) {
+    return autoDivide(C, MaxFactor, OuterName, InnerName);
+  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -382,8 +381,7 @@ Expected<ProcRef> exo::scheduling::cacheBlock(
     const ProcRef &P, const std::string &RowLoop, const std::string &Buf,
     int64_t MaxKC, const std::string &OuterK, const std::string &InnerK,
     const std::string &Panel) {
-  auto C = Cursor::find(P, Schedule::loopPattern(RowLoop));
-  if (!C)
-    return C.error();
-  return cacheBlock(*C, Buf, MaxKC, OuterK, InnerK, Panel);
+  return atPattern(P, Schedule::loopPattern(RowLoop), [&](const Cursor &C) {
+    return cacheBlock(C, Buf, MaxKC, OuterK, InnerK, Panel);
+  });
 }

@@ -14,10 +14,9 @@
 /// failing primitive aborts the whole procedure with its structured
 /// error.
 ///
-/// Because the cursor overloads resolve to the *same* rewrites as their
-/// string-pattern spellings, replacing a hand-written primitive sequence
-/// in an app with the equivalent procedure call leaves the generated C
-/// byte-identical. The apps (Sgemm, GemminiMatmul, AmxMatmul), the
+/// Because a primitive's pattern spelling runs its cursor form, replacing
+/// a hand-written primitive sequence in an app with the equivalent
+/// procedure call leaves the generated C byte-identical. The apps (Sgemm, GemminiMatmul, AmxMatmul), the
 /// KernelSuite, and the tuner's SearchSpace all schedule through these.
 ///
 /// hoistStmtToTop (Schedule.h) predates this header but is the same

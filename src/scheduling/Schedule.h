@@ -12,6 +12,11 @@
 /// Operators never mutate their input; failed operators return an Error
 /// and leave everything untouched.
 ///
+/// The pattern spellings declared here are entry points: each resolves its
+/// pattern to a Cursor once and runs the operator's one implementation,
+/// its cursor form (Cursor.h). A failure after resolution carries the
+/// pattern in its ScheduleErrorInfo.
+///
 /// This rewrite architecture — in contrast to Halide/TVM's monolithic
 /// lowering — is the paper's central design claim: the correctness of
 /// each operator is independent of every other operator (§3.3).
@@ -87,8 +92,9 @@ Expected<ProcRef> moveStmtUp(const ProcRef &P, const std::string &StmtPat);
 /// compositional-autoscheduling point): hoists the matched statement to
 /// the top of the procedure by repeatedly commuting it above its
 /// predecessors and fissioning + removing enclosing loops. Every step is
-/// safety-checked; the first failing step aborts the whole hoist.
-/// The pattern must match exactly one statement in the procedure.
+/// safety-checked; the first failing step aborts the whole hoist. The
+/// statement is followed by position through the hoist's own rewrites,
+/// so same-named siblings it passes cannot capture the pattern.
 Expected<ProcRef> hoistStmtToTop(const ProcRef &P, const std::string &StmtPat);
 
 /// fission_after(s): splits the enclosing loop into two loops, the first

@@ -22,8 +22,7 @@ namespace {
 
 /// Shared commute-and-swap used by reorderStmts / moveStmtUp: swaps the
 /// statement at \p C with its successor after proving they commute.
-Expected<ProcRef> swapAdjacent(const ProcRef &P, const StmtCursor &C,
-                               const std::string &Pattern) {
+Expected<ProcRef> swapAdjacent(const ProcRef &P, const StmtCursor &C) {
   const Block &B = blockAt(*P, C);
   if (C.Begin + 1 >= B.size())
     return makeError(Error::Kind::Scheduling,
@@ -45,7 +44,7 @@ Expected<ProcRef> swapAdjacent(const ProcRef &P, const StmtCursor &C,
   EffectSets A1 = extractStmt(Op.Ctx, State, S1);
   EffectSets A2 = extractStmt(Op.Ctx, State, S2);
   if (auto E = checkProved(Op.Ctx, Info.PathCond, commutesCond(A1, A2),
-                           "reorder_stmts", Pattern, printStmt(S1),
+                           "reorder_stmts", printStmt(S1),
                            "reorder_stmts: statements do not commute"))
     return *E;
   return Op.derive({S2, S1});
@@ -53,19 +52,17 @@ Expected<ProcRef> swapAdjacent(const ProcRef &P, const StmtCursor &C,
 
 } // namespace
 
-Expected<ProcRef> exo::scheduling::reorderStmts(const ProcRef &P,
-                                                const std::string &FirstPat) {
+Expected<ProcRef> exo::scheduling::reorderStmts(const Cursor &First) {
   ScopedOpName Op("reorder_stmts");
-  auto C = findStmts(*P, FirstPat);
+  auto C = targetOf(First);
   if (!C)
     return C.error();
-  return swapAdjacent(P, *C, FirstPat);
+  return swapAdjacent(First.proc(), *C);
 }
 
-Expected<ProcRef> exo::scheduling::moveStmtUp(const ProcRef &P,
-                                              const std::string &StmtPat) {
+Expected<ProcRef> exo::scheduling::moveStmtUp(const Cursor &Stmt) {
   ScopedOpName Op("move_up");
-  auto C = findStmts(*P, StmtPat);
+  auto C = targetOf(Stmt);
   if (!C)
     return C.error();
   if (C->Begin == 0)
@@ -74,67 +71,56 @@ Expected<ProcRef> exo::scheduling::moveStmtUp(const ProcRef &P,
   StmtCursor Prev = *C;
   --Prev.Begin;
   --Prev.End;
-  return swapAdjacent(P, Prev, StmtPat);
+  return swapAdjacent(Stmt.proc(), Prev);
 }
 
-Expected<ProcRef> exo::scheduling::hoistStmtToTop(const ProcRef &P,
-                                                  const std::string &StmtPat) {
-  ProcRef Cur = P;
-  for (unsigned Step = 0; Step < 256; ++Step) {
-    auto C = findStmts(*Cur, StmtPat);
-    if (!C)
-      return C.error();
-    if (C->Begin > 0) {
-      auto Next = moveStmtUp(Cur, StmtPat);
-      if (!Next)
-        return Next.error();
-      Cur = *Next;
+Expected<ProcRef> exo::scheduling::hoistStmtToTop(const Cursor &Stmt) {
+  auto T = targetOf(Stmt);
+  if (!T)
+    return T.error();
+  // The statement's position is tracked through the hoist's own moves,
+  // never re-matched: every step either lowers its index in its block or
+  // lifts it one level, so the walk ends.
+  ProcRef Cur = Stmt.proc();
+  StmtCursor C = *T;
+  auto Step = [&](Expected<ProcRef> Next) -> std::optional<Error> {
+    if (!Next)
+      return Next.error();
+    Cur = *Next;
+    return std::nullopt;
+  };
+  while (C.Begin > 0 || !C.Path.empty()) {
+    if (C.Begin > 0) {
+      if (auto E = Step(moveStmtUp(Cursor::fromStmtCursor(Cur, C))))
+        return *E;
+      --C.Begin;
+      --C.End;
       continue;
     }
-    if (C->Path.empty())
-      return Cur; // already first statement of the procedure
-    // First statement of an enclosing block: fission the loop after it,
-    // then delete the singleton loop.
+    // First statement of an enclosing block: fission the loop after it
+    // (unless it is alone there already), then delete the singleton loop,
+    // which leaves the statement in the loop's slot.
     StmtCursor ParentCur;
-    ParentCur.Path.assign(C->Path.begin(), C->Path.end() - 1);
-    ParentCur.Begin = C->Path.back().Index;
+    ParentCur.Path.assign(C.Path.begin(), C.Path.end() - 1);
+    ParentCur.Begin = C.Path.back().Index;
     ParentCur.End = ParentCur.Begin + 1;
     StmtRef Parent = selectedStmts(*Cur, ParentCur)[0];
     if (Parent->kind() != StmtKind::For)
       return makeError(Error::Kind::Scheduling,
                        "hoist: cannot hoist out of a conditional");
-    if (Parent->body().size() == 1) {
-      // The loop contains only our statement: remove it directly.
-      auto Next = removeLoop(Cur, loopPatternFor(*Cur, ParentCur));
-      if (!Next)
-        return Next.error();
-      Cur = *Next;
-      continue;
-    }
-    auto Fissioned = fissionAfter(Cur, StmtPat);
-    if (!Fissioned)
-      return Fissioned.error();
-    Cur = *Fissioned;
-    // After fission the statement's new parent is the singleton loop.
-    auto C2 = findStmts(*Cur, StmtPat);
-    if (!C2 || C2->Path.empty())
-      return makeError(Error::Kind::Internal, "hoist: lost the statement");
-    StmtCursor NewParent;
-    NewParent.Path.assign(C2->Path.begin(), C2->Path.end() - 1);
-    NewParent.Begin = C2->Path.back().Index;
-    NewParent.End = NewParent.Begin + 1;
-    auto Next = removeLoop(Cur, loopPatternFor(*Cur, NewParent));
-    if (!Next)
-      return Next.error();
-    Cur = *Next;
+    if (Parent->body().size() > 1)
+      if (auto E = Step(fissionAfter(Cursor::fromStmtCursor(Cur, C))))
+        return *E;
+    if (auto E = Step(removeLoop(Cursor::fromStmtCursor(Cur, ParentCur))))
+      return *E;
+    C = ParentCur;
   }
-  return makeError(Error::Kind::Scheduling, "hoist: too many steps");
+  return Cur;
 }
 
-Expected<ProcRef> exo::scheduling::fissionAfter(const ProcRef &P,
-                                                const std::string &StmtPat) {
+Expected<ProcRef> exo::scheduling::fissionAfter(const Cursor &Stmt) {
   ScopedOpName OpName("fission_after");
-  auto C = findStmts(*P, StmtPat);
+  auto C = targetOf(Stmt);
   if (!C)
     return C.error();
   if (C->Path.empty())
@@ -145,7 +131,7 @@ Expected<ProcRef> exo::scheduling::fissionAfter(const ProcRef &P,
   ParentCur.Path.assign(C->Path.begin(), C->Path.end() - 1);
   ParentCur.Begin = C->Path.back().Index;
   ParentCur.End = ParentCur.Begin + 1;
-  OpContext Op(P, ParentCur);
+  OpContext Op(Stmt.proc(), ParentCur);
   StmtRef Loop = Op.stmt();
   if (Loop->kind() != StmtKind::For)
     return makeError(Error::Kind::Scheduling,
@@ -190,7 +176,7 @@ Expected<ProcRef> exo::scheduling::fissionAfter(const ProcRef &P,
                            triAnd(InBounds(X1), InBounds(X2)));
   Premise = triAnd(Premise, TriBool::certain(smt::lt(X2, X1)));
   if (auto E = checkProved(Ctx, Premise, commutesCond(A1, A2),
-                           "fission_after", StmtPat,
+                           "fission_after",
                            "for " + Loop->name().name() + " in _: _",
                            "fission_after: split halves do not commute "
                            "across iterations"))
@@ -205,24 +191,24 @@ Expected<ProcRef> exo::scheduling::fissionAfter(const ProcRef &P,
   return Op.derive({L1, L2});
 }
 
-Expected<ProcRef> exo::scheduling::liftAlloc(const ProcRef &P,
-                                             const std::string &AllocPat,
+Expected<ProcRef> exo::scheduling::liftAlloc(const Cursor &AllocC,
                                              unsigned Levels) {
   ScopedOpName Op("lift_alloc");
-  ProcRef Cur = P;
+  auto T = targetOfKind(AllocC, StmtKind::Alloc, "an allocation");
+  if (!T)
+    return T.error();
+  ProcRef Cur = AllocC.proc();
+  StmtCursor C = *T;
   for (unsigned L = 0; L < Levels; ++L) {
-    auto C = findOneOfKind(*Cur, AllocPat, StmtKind::Alloc, "an allocation");
-    if (!C)
-      return C.error();
-    if (C->Path.empty())
+    if (C.Path.empty())
       return makeError(Error::Kind::Scheduling,
                        "lift_alloc: allocation is already at the top level");
-    StmtRef Alloc = selectedStmts(*Cur, *C)[0];
+    StmtRef Alloc = selectedStmts(*Cur, C)[0];
     // The allocation's dimension expressions must not use the binders we
     // are lifting past (e.g. the loop iterator).
     StmtCursor ParentCur;
-    ParentCur.Path.assign(C->Path.begin(), C->Path.end() - 1);
-    ParentCur.Begin = C->Path.back().Index;
+    ParentCur.Path.assign(C.Path.begin(), C.Path.end() - 1);
+    ParentCur.Begin = C.Path.back().Index;
     ParentCur.End = ParentCur.Begin + 1;
     StmtRef Parent = selectedStmts(*Cur, ParentCur)[0];
     if (Parent->kind() == StmtKind::For) {
@@ -239,7 +225,7 @@ Expected<ProcRef> exo::scheduling::liftAlloc(const ProcRef &P,
     // Remove the alloc from its block and reinsert before the (rebuilt)
     // parent statement; the path above the parent is unchanged, so the
     // net dirty region is the parent's slot widening to two statements.
-    Block Without = replaceRange(Cur->body(), *C, {});
+    Block Without = replaceRange(Cur->body(), C, {});
     const Block *Bp = &Without;
     for (const PathStep &Step : ParentCur.Path)
       Bp = Step.Into == PathStep::Branch::Body
@@ -248,19 +234,20 @@ Expected<ProcRef> exo::scheduling::liftAlloc(const ProcRef &P,
     StmtRef NewParent = (*Bp)[ParentCur.Begin];
     Block Rebuilt = replaceRange(Without, ParentCur, {Alloc, NewParent});
     Cur = deriveProc(Cur, std::move(Rebuilt), ParentCur, 2);
+    // The allocation now sits in its old parent's slot.
+    C = ParentCur;
   }
   return Cur;
 }
 
-Expected<ProcRef> exo::scheduling::bindExpr(const ProcRef &P,
-                                            const std::string &StmtPat,
+Expected<ProcRef> exo::scheduling::bindExpr(const Cursor &Stmt,
                                             const std::string &ExprPat,
                                             const std::string &NewName) {
   ScopedOpName OpName("bind_expr");
-  auto C = findStmts(*P, StmtPat);
+  auto C = targetOf(Stmt);
   if (!C)
     return C.error();
-  OpContext Op(P, *C);
+  OpContext Op(Stmt.proc(), *C);
   StmtRef S = Op.stmt();
   if (S->kind() != StmtKind::Assign && S->kind() != StmtKind::Reduce)
     return makeError(Error::Kind::Scheduling,
@@ -324,27 +311,78 @@ Expected<ProcRef> exo::scheduling::bindExpr(const ProcRef &P,
                     Stmt::assign(NewSym, {}, Found), NewStmt});
 }
 
-Expected<ProcRef> exo::scheduling::addGuard(const ProcRef &P,
-                                            const std::string &StmtPat,
+Expected<ProcRef> exo::scheduling::addGuard(const Cursor &Stmt,
                                             const std::string &CondSrc) {
   ScopedOpName OpName("add_guard");
-  auto C = findStmts(*P, StmtPat);
+  auto C = targetOf(Stmt);
   if (!C)
     return C.error();
-  OpContext Op(P, *C);
+  OpContext Op(Stmt.proc(), *C);
   StmtRef S = Op.stmt();
 
   frontend::ParseEnv Env;
-  auto Cond = frontend::parseExprInScope(CondSrc, scopeAt(*P, *C), Env);
+  auto Cond =
+      frontend::parseExprInScope(CondSrc, scopeAt(*Stmt.proc(), *C), Env);
   if (!Cond)
     return Cond.error();
 
   const ContextInfo &Info = Op.info();
   TriBool CondT = Op.Ctx.liftBool(*Cond, Info.Pre.Env);
   if (auto E = checkProved(Op.Ctx, Info.PathCond, CondT.Must, "add_guard",
-                           StmtPat, CondSrc,
+                           CondSrc,
                            "add_guard: condition '" + CondSrc +
                                "' is not provably true here"))
     return *E;
   return Op.derive({Stmt::ifStmt(*Cond, {S})});
+}
+
+//===----------------------------------------------------------------------===//
+// Pattern spellings
+//===----------------------------------------------------------------------===//
+
+Expected<ProcRef> exo::scheduling::reorderStmts(const ProcRef &P,
+                                                const std::string &FirstPat) {
+  return atPattern(P, FirstPat,
+                   [](const Cursor &C) { return reorderStmts(C); });
+}
+
+Expected<ProcRef> exo::scheduling::moveStmtUp(const ProcRef &P,
+                                              const std::string &StmtPat) {
+  return atPattern(P, StmtPat, [](const Cursor &C) { return moveStmtUp(C); });
+}
+
+Expected<ProcRef> exo::scheduling::hoistStmtToTop(const ProcRef &P,
+                                                  const std::string &StmtPat) {
+  return atPattern(P, StmtPat,
+                   [](const Cursor &C) { return hoistStmtToTop(C); });
+}
+
+Expected<ProcRef> exo::scheduling::fissionAfter(const ProcRef &P,
+                                                const std::string &StmtPat) {
+  return atPattern(P, StmtPat,
+                   [](const Cursor &C) { return fissionAfter(C); });
+}
+
+Expected<ProcRef> exo::scheduling::liftAlloc(const ProcRef &P,
+                                             const std::string &AllocPat,
+                                             unsigned Levels) {
+  return atPatternOfKind(
+      P, AllocPat, StmtKind::Alloc, "an allocation",
+      [&](const Cursor &C) { return liftAlloc(C, Levels); });
+}
+
+Expected<ProcRef> exo::scheduling::bindExpr(const ProcRef &P,
+                                            const std::string &StmtPat,
+                                            const std::string &ExprPat,
+                                            const std::string &NewName) {
+  return atPattern(P, StmtPat, [&](const Cursor &C) {
+    return bindExpr(C, ExprPat, NewName);
+  });
+}
+
+Expected<ProcRef> exo::scheduling::addGuard(const ProcRef &P,
+                                            const std::string &StmtPat,
+                                            const std::string &CondSrc) {
+  return atPattern(P, StmtPat,
+                   [&](const Cursor &C) { return addGuard(C, CondSrc); });
 }

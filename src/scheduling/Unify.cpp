@@ -683,14 +683,13 @@ bool discoverBufferBases(const Proc &Target, const Block &FooB,
 
 } // namespace
 
-Expected<ProcRef> exo::scheduling::replaceWith(const ProcRef &P,
-                                               const std::string &StmtPat,
-                                               unsigned Count,
+Expected<ProcRef> exo::scheduling::replaceWith(const Cursor &Stmts,
                                                const ProcRef &Target) {
   ScopedOpName OpName("replace");
-  auto C = findStmts(*P, StmtPat, Count);
+  auto C = selectionOf(Stmts);
   if (!C)
     return C.error();
+  const ProcRef &P = Stmts.proc();
   std::vector<StmtRef> Sel = selectedStmts(*P, *C);
 
   // Pre-pass: bind each tensor parameter to a selection buffer.
@@ -752,4 +751,13 @@ Expected<ProcRef> exo::scheduling::replaceWith(const ProcRef &P,
   return makeError(Error::Kind::Unification,
                    "replace with '" + Target->name() + "' failed: " +
                        LastWhy);
+}
+
+Expected<ProcRef> exo::scheduling::replaceWith(const ProcRef &P,
+                                               const std::string &StmtPat,
+                                               unsigned Count,
+                                               const ProcRef &Target) {
+  return atPattern(
+      P, StmtPat, [&](const Cursor &C) { return replaceWith(C, Target); },
+      Count);
 }

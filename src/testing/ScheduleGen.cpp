@@ -139,64 +139,6 @@ Expected<ConfigRef> resolveConfig(const std::string &Ref) {
   return makeError(Error::Kind::Parse, "unknown config ref '" + Ref + "'");
 }
 
-Error arity(const ScheduleStep &S, size_t Want) {
-  return makeError(Error::Kind::Parse, "trace op '" + S.Op + "' expects " +
-                                           std::to_string(Want) +
-                                           " args, got " +
-                                           std::to_string(S.Args.size()));
-}
-
-/// Cursor-navigation trace arguments: "<pattern> @nav[.nav...]" resolves
-/// the base pattern to a cursor, then applies structural navigation steps
-/// (body, orelse, next, prev, parent), so traces can address statements
-/// no unambiguous pattern string exists for — e.g. the inner of two
-/// same-named loops: "for t in _: _ @body".
-bool hasCursorNav(const std::string &A) {
-  return A.find(" @") != std::string::npos;
-}
-
-Expected<Cursor> resolveCursorArg(const ProcRef &P, const std::string &Arg,
-                                  bool LoopArg) {
-  size_t At = Arg.rfind(" @");
-  std::string Pat = trimString(Arg.substr(0, At));
-  if (LoopArg)
-    Pat = Schedule::loopPattern(Pat);
-  auto Found = Cursor::find(P, Pat);
-  if (!Found)
-    return Found.error();
-  Cursor Cur = *Found;
-  std::string Nav = Arg.substr(At + 2);
-  size_t Pos = 0;
-  for (;;) {
-    size_t Dot = Nav.find('.', Pos);
-    std::string Step = trimString(Dot == std::string::npos
-                                      ? Nav.substr(Pos)
-                                      : Nav.substr(Pos, Dot - Pos));
-    Expected<Cursor> Next = makeError(Error::Kind::Parse, "");
-    if (Step == "body")
-      Next = Cur.body();
-    else if (Step == "orelse")
-      Next = Cur.orelse();
-    else if (Step == "next")
-      Next = Cur.next();
-    else if (Step == "prev")
-      Next = Cur.prev();
-    else if (Step == "parent")
-      Next = Cur.parent();
-    else
-      return makeError(Error::Kind::Parse,
-                       "unknown cursor navigation '" + Step + "' in '" +
-                           Arg + "'");
-    if (!Next)
-      return Next.error();
-    Cur = *Next;
-    if (Dot == std::string::npos)
-      break;
-    Pos = Dot + 1;
-  }
-  return Cur;
-}
-
 /// TEST-ONLY unsound rewrite: shrinks the Nth loop (pre-order, counted
 /// among loops whose iterator is named \p Iter) to skip its last
 /// iteration — deliberately with no safety check. Exists so the
@@ -247,292 +189,288 @@ Expected<ProcRef> unsoundDropIter(const ProcRef &P, const std::string &Iter,
   return ProcRef(std::move(C));
 }
 
+/// The argument kinds of the trace grammar. Loop and Stmt arguments are
+/// targets: a plain pattern (a loop target may also be a bare iterator
+/// name, "i" or "i #1"), or "<pattern> @nav[.nav...]", which applies
+/// structural navigation steps (body, orelse, next, prev, parent) to the
+/// pattern's match, so traces can address statements no unambiguous
+/// pattern string exists for — e.g. the inner of two same-named loops:
+/// "for t in _: _ @body".
+enum class ArgKind {
+  Loop,
+  Stmt,
+  Int,
+  Name,
+  Tail,
+  Instr,
+  Config,
+  Mem,
+  Precision
+};
+
+/// One parsed argument; the member its kind names is set.
+struct ArgVal {
+  Cursor Target;
+  int64_t Int = 0;
+  std::string Str; ///< Name, Mem
+  SplitTail Tail = SplitTail::Guard;
+  ProcRef Instr;
+  ConfigRef Config;
+  ScalarKind Precision = ScalarKind::R;
+};
+using ArgVals = std::vector<ArgVal>;
+
+/// One trace op: its name, its argument schema, the index of its numeric
+/// knob (the argument trace mutation perturbs; -1 for none), and how it
+/// applies through the scheduling layer's cursor forms.
+struct OpSpec {
+  const char *Name;
+  std::vector<ArgKind> Kinds;
+  int Knob;
+  Expected<ProcRef> (*Apply)(const ProcRef &P, const ArgVals &A);
+};
+
+/// A target widened to \p Count statements (stage and replace steps).
+Expected<Cursor> widened(const Cursor &C, int64_t Count) {
+  if (Count < 1)
+    return makeError(Error::Kind::Parse, "bad statement count in trace: " +
+                                             std::to_string(Count));
+  return C.expand(unsigned(Count - 1));
+}
+
+using K = ArgKind;
+const OpSpec OpTable[] = {
+    {"split", {K::Loop, K::Int, K::Name, K::Name, K::Tail}, 1,
+     [](const ProcRef &, const ArgVals &A) {
+       return splitLoop(A[0].Target, A[1].Int, A[2].Str, A[3].Str, A[4].Tail);
+     }},
+    {"reorder", {K::Loop}, -1,
+     [](const ProcRef &, const ArgVals &A) {
+       return reorderLoops(A[0].Target);
+     }},
+    {"unroll", {K::Loop}, -1,
+     [](const ProcRef &, const ArgVals &A) { return unrollLoop(A[0].Target); }},
+    {"partition", {K::Loop, K::Int}, 1,
+     [](const ProcRef &, const ArgVals &A) {
+       return partitionLoop(A[0].Target, A[1].Int);
+     }},
+    {"remove", {K::Loop}, -1,
+     [](const ProcRef &, const ArgVals &A) { return removeLoop(A[0].Target); }},
+    {"fuse", {K::Loop}, -1,
+     [](const ProcRef &, const ArgVals &A) { return fuseLoops(A[0].Target); }},
+    {"lift_if", {K::Stmt}, -1,
+     [](const ProcRef &, const ArgVals &A) { return liftIf(A[0].Target); }},
+    {"reorder_stmts", {K::Stmt}, -1,
+     [](const ProcRef &, const ArgVals &A) {
+       return reorderStmts(A[0].Target);
+     }},
+    {"move_up", {K::Stmt}, -1,
+     [](const ProcRef &, const ArgVals &A) { return moveStmtUp(A[0].Target); }},
+    {"fission", {K::Stmt}, -1,
+     [](const ProcRef &, const ArgVals &A) {
+       return fissionAfter(A[0].Target);
+     }},
+    {"lift_alloc", {K::Stmt, K::Int}, 1,
+     [](const ProcRef &, const ArgVals &A) {
+       return liftAlloc(A[0].Target, unsigned(A[1].Int));
+     }},
+    {"stage", {K::Stmt, K::Int, K::Name, K::Name, K::Mem}, -1,
+     [](const ProcRef &, const ArgVals &A) -> Expected<ProcRef> {
+       auto W = widened(A[0].Target, A[1].Int);
+       if (!W)
+         return W.error();
+       return stageMem(*W, A[2].Str, A[3].Str, A[4].Str);
+     }},
+    {"set_memory", {K::Name, K::Mem}, -1,
+     [](const ProcRef &P, const ArgVals &A) {
+       return setMemory(P, A[0].Str, A[1].Str);
+     }},
+    {"set_precision", {K::Name, K::Precision}, -1,
+     [](const ProcRef &P, const ArgVals &A) {
+       return setPrecision(P, A[0].Str, A[1].Precision);
+     }},
+    {"replace", {K::Stmt, K::Int, K::Instr}, -1,
+     [](const ProcRef &, const ArgVals &A) -> Expected<ProcRef> {
+       auto W = widened(A[0].Target, A[1].Int);
+       if (!W)
+         return W.error();
+       return replaceWith(*W, A[2].Instr);
+     }},
+    {"config_write", {K::Stmt, K::Config, K::Name, K::Name}, -1,
+     [](const ProcRef &, const ArgVals &A) {
+       return configWriteAt(A[0].Target, A[1].Config, A[2].Str, A[3].Str);
+     }},
+    {"hoist", {K::Stmt}, -1,
+     [](const ProcRef &, const ArgVals &A) {
+       return hoistStmtToTop(A[0].Target);
+     }},
+    // Composable named procedures (scheduling/Procedures.h) as single
+    // steps, so ScheduleGen traces and tuner skeletons speak the same
+    // vocabulary the apps do.
+    {"tile2d",
+     {K::Loop, K::Int, K::Int, K::Name, K::Name, K::Name, K::Name, K::Tail},
+     1,
+     [](const ProcRef &, const ArgVals &A) {
+       return tile2D(A[0].Target, A[1].Int, A[2].Int, A[3].Str, A[4].Str,
+                     A[5].Str, A[6].Str, A[7].Tail);
+     }},
+    {"auto_divide", {K::Loop, K::Int, K::Name, K::Name}, 1,
+     [](const ProcRef &, const ArgVals &A) {
+       return autoDivide(A[0].Target, A[1].Int, A[2].Str, A[3].Str);
+     }},
+    {"stage_vec",
+     {K::Stmt, K::Name, K::Name, K::Mem, K::Int, K::Name, K::Name},
+     -1,
+     [](const ProcRef &, const ArgVals &A) {
+       return stageAndVectorize(A[0].Target, A[1].Str, A[2].Str, A[3].Str,
+                                A[4].Int, A[5].Str, A[6].Str);
+     }},
+    {"simplify", {}, -1,
+     [](const ProcRef &P, const ArgVals &) { return simplify(P); }},
+    {"delete_pass", {}, -1,
+     [](const ProcRef &P, const ArgVals &) { return deletePass(P); }},
+    {"unsound_drop_iter", {K::Name, K::Int}, -1,
+     [](const ProcRef &P, const ArgVals &A) {
+       return unsoundDropIter(P, A[0].Str, A[1].Int);
+     }},
+};
+
+const OpSpec *findOp(const std::string &Name) {
+  for (const OpSpec &Op : OpTable)
+    if (Name == Op.Name)
+      return &Op;
+  return nullptr;
+}
+
+/// Resolves a target argument to a cursor in \p P: its pattern is matched
+/// once, then any navigation steps walk from the match.
+Expected<Cursor> resolveTarget(const ProcRef &P, const std::string &Arg,
+                               bool LoopArg) {
+  size_t At = Arg.rfind(" @");
+  std::string Pat =
+      At == std::string::npos ? Arg : trimString(Arg.substr(0, At));
+  if (LoopArg)
+    Pat = Schedule::loopPattern(Pat);
+  auto Found = Cursor::find(P, Pat);
+  if (!Found || At == std::string::npos)
+    return Found;
+  Cursor Cur = *Found;
+  std::string Nav = Arg.substr(At + 2);
+  size_t Pos = 0;
+  for (;;) {
+    size_t Dot = Nav.find('.', Pos);
+    std::string Step = trimString(Dot == std::string::npos
+                                      ? Nav.substr(Pos)
+                                      : Nav.substr(Pos, Dot - Pos));
+    Expected<Cursor> Next = makeError(Error::Kind::Parse, "");
+    if (Step == "body")
+      Next = Cur.body();
+    else if (Step == "orelse")
+      Next = Cur.orelse();
+    else if (Step == "next")
+      Next = Cur.next();
+    else if (Step == "prev")
+      Next = Cur.prev();
+    else if (Step == "parent")
+      Next = Cur.parent();
+    else
+      return makeError(Error::Kind::Parse,
+                       "unknown cursor navigation '" + Step + "' in '" +
+                           Arg + "'");
+    if (!Next)
+      return Next.error();
+    Cur = *Next;
+    if (Dot == std::string::npos)
+      break;
+    Pos = Dot + 1;
+  }
+  return Cur;
+}
+
+/// Parses \p S's arguments against \p Op's schema. Values parse first,
+/// left to right; the target resolves last, once.
+Expected<ArgVals> parseArgs(const ProcRef &P, const OpSpec &Op,
+                            const ScheduleStep &S) {
+  if (S.Args.size() != Op.Kinds.size())
+    return makeError(Error::Kind::Parse,
+                     "trace op '" + S.Op + "' expects " +
+                         std::to_string(Op.Kinds.size()) + " args, got " +
+                         std::to_string(S.Args.size()));
+  ArgVals V(S.Args.size());
+  for (size_t I = 0; I < S.Args.size(); ++I) {
+    const std::string &A = S.Args[I];
+    switch (Op.Kinds[I]) {
+    case K::Loop:
+    case K::Stmt:
+      break;
+    case K::Int: {
+      auto N = parseNum(A);
+      if (!N)
+        return N.error();
+      V[I].Int = *N;
+      break;
+    }
+    case K::Mem:
+      // Touch the library singletons so their memories are registered
+      // before codegen meets the annotation.
+      if (A == "AVX512")
+        (void)hw::avx512::avx512Lib();
+      if (A == "GEMM_SCRATCH" || A == "GEMM_ACC")
+        (void)hw::gemmini::gemminiLib();
+      [[fallthrough]];
+    case K::Name:
+      V[I].Str = A;
+      break;
+    case K::Tail:
+      V[I].Tail = A == "cut"       ? SplitTail::Cut
+                  : A == "perfect" ? SplitTail::Perfect
+                                   : SplitTail::Guard;
+      break;
+    case K::Instr: {
+      auto R = resolveInstr(A);
+      if (!R)
+        return R.error();
+      V[I].Instr = *R;
+      break;
+    }
+    case K::Config: {
+      auto R = resolveConfig(A);
+      if (!R)
+        return R.error();
+      V[I].Config = *R;
+      break;
+    }
+    case K::Precision: {
+      auto R = parseKind(A);
+      if (!R)
+        return R.error();
+      V[I].Precision = *R;
+      break;
+    }
+    }
+  }
+  for (size_t I = 0; I < S.Args.size(); ++I) {
+    if (Op.Kinds[I] != K::Loop && Op.Kinds[I] != K::Stmt)
+      continue;
+    auto C = resolveTarget(P, S.Args[I], Op.Kinds[I] == K::Loop);
+    if (!C)
+      return C.error();
+    V[I].Target = *C;
+  }
+  return V;
+}
+
 } // namespace
 
 Expected<ProcRef> exo::testing::applyStep(const ProcRef &P,
                                           const ScheduleStep &S) {
-  const std::string &Op = S.Op;
-  auto A = [&](size_t I) -> const std::string & { return S.Args[I]; };
-  // Cursor-navigation form of a loop/statement argument: resolve to a
-  // Cursor and dispatch to the cursor-taking overload (byte-identical
-  // rewrite, structural addressing).
-  auto loopCur = [&](size_t I) { return resolveCursorArg(P, A(I), true); };
-  auto stmtCur = [&](size_t I) { return resolveCursorArg(P, A(I), false); };
-
-  if (Op == "split") {
-    if (S.Args.size() != 5)
-      return arity(S, 5);
-    auto F = parseNum(A(1));
-    if (!F)
-      return F.error();
-    SplitTail T = A(4) == "cut"       ? SplitTail::Cut
-                  : A(4) == "perfect" ? SplitTail::Perfect
-                                      : SplitTail::Guard;
-    if (hasCursorNav(A(0))) {
-      auto C = loopCur(0);
-      if (!C)
-        return C.error();
-      return splitLoop(*C, *F, A(2), A(3), T);
-    }
-    return splitLoop(P, Schedule::loopPattern(A(0)), *F, A(2), A(3), T);
-  }
-  if (Op == "reorder") {
-    if (S.Args.size() != 1)
-      return arity(S, 1);
-    if (hasCursorNav(A(0))) {
-      auto C = loopCur(0);
-      if (!C)
-        return C.error();
-      return reorderLoops(*C);
-    }
-    return reorderLoops(P, Schedule::loopPattern(A(0)));
-  }
-  if (Op == "unroll") {
-    if (S.Args.size() != 1)
-      return arity(S, 1);
-    if (hasCursorNav(A(0))) {
-      auto C = loopCur(0);
-      if (!C)
-        return C.error();
-      return unrollLoop(*C);
-    }
-    return unrollLoop(P, Schedule::loopPattern(A(0)));
-  }
-  if (Op == "partition") {
-    if (S.Args.size() != 2)
-      return arity(S, 2);
-    auto C = parseNum(A(1));
-    if (!C)
-      return C.error();
-    if (hasCursorNav(A(0))) {
-      auto Cur = loopCur(0);
-      if (!Cur)
-        return Cur.error();
-      return partitionLoop(*Cur, *C);
-    }
-    return partitionLoop(P, Schedule::loopPattern(A(0)), *C);
-  }
-  if (Op == "remove") {
-    if (S.Args.size() != 1)
-      return arity(S, 1);
-    if (hasCursorNav(A(0))) {
-      auto C = loopCur(0);
-      if (!C)
-        return C.error();
-      return removeLoop(*C);
-    }
-    return removeLoop(P, Schedule::loopPattern(A(0)));
-  }
-  if (Op == "fuse") {
-    if (S.Args.size() != 1)
-      return arity(S, 1);
-    if (hasCursorNav(A(0))) {
-      auto C = loopCur(0);
-      if (!C)
-        return C.error();
-      return fuseLoops(*C);
-    }
-    return fuseLoops(P, Schedule::loopPattern(A(0)));
-  }
-  if (Op == "lift_if") {
-    if (S.Args.size() != 1)
-      return arity(S, 1);
-    if (hasCursorNav(A(0))) {
-      auto C = stmtCur(0);
-      if (!C)
-        return C.error();
-      return liftIf(*C);
-    }
-    return liftIf(P, A(0));
-  }
-  if (Op == "reorder_stmts") {
-    if (S.Args.size() != 1)
-      return arity(S, 1);
-    if (hasCursorNav(A(0))) {
-      auto C = stmtCur(0);
-      if (!C)
-        return C.error();
-      return reorderStmts(*C);
-    }
-    return reorderStmts(P, A(0));
-  }
-  if (Op == "move_up") {
-    if (S.Args.size() != 1)
-      return arity(S, 1);
-    if (hasCursorNav(A(0))) {
-      auto C = stmtCur(0);
-      if (!C)
-        return C.error();
-      return moveStmtUp(*C);
-    }
-    return moveStmtUp(P, A(0));
-  }
-  if (Op == "fission") {
-    if (S.Args.size() != 1)
-      return arity(S, 1);
-    if (hasCursorNav(A(0))) {
-      auto C = stmtCur(0);
-      if (!C)
-        return C.error();
-      return fissionAfter(*C);
-    }
-    return fissionAfter(P, A(0));
-  }
-  if (Op == "lift_alloc") {
-    if (S.Args.size() != 2)
-      return arity(S, 2);
-    auto L = parseNum(A(1));
-    if (!L)
-      return L.error();
-    if (hasCursorNav(A(0))) {
-      auto C = stmtCur(0);
-      if (!C)
-        return C.error();
-      return liftAlloc(*C, unsigned(*L));
-    }
-    return liftAlloc(P, A(0), unsigned(*L));
-  }
-  if (Op == "stage") {
-    if (S.Args.size() != 5)
-      return arity(S, 5);
-    auto C = parseNum(A(1));
-    if (!C)
-      return C.error();
-    if (hasCursorNav(A(0))) {
-      auto Cur = stmtCur(0);
-      if (!Cur)
-        return Cur.error();
-      auto Wide = *C > 1 ? Cur->expand(unsigned(*C) - 1)
-                         : Expected<Cursor>(*Cur);
-      if (!Wide)
-        return Wide.error();
-      return stageMem(*Wide, A(2), A(3), A(4));
-    }
-    return stageMem(P, A(0), unsigned(*C), A(2), A(3), A(4));
-  }
-  if (Op == "set_memory") {
-    if (S.Args.size() != 2)
-      return arity(S, 2);
-    // Touch the library singletons so their memories are registered
-    // before codegen meets the annotation.
-    if (A(1) == "AVX512")
-      (void)hw::avx512::avx512Lib();
-    if (A(1) == "GEMM_SCRATCH" || A(1) == "GEMM_ACC")
-      (void)hw::gemmini::gemminiLib();
-    return setMemory(P, A(0), A(1));
-  }
-  if (Op == "set_precision") {
-    if (S.Args.size() != 2)
-      return arity(S, 2);
-    auto K = parseKind(A(1));
-    if (!K)
-      return K.error();
-    return setPrecision(P, A(0), *K);
-  }
-  if (Op == "replace") {
-    if (S.Args.size() != 3)
-      return arity(S, 3);
-    auto C = parseNum(A(1));
-    if (!C)
-      return C.error();
-    auto Tgt = resolveInstr(A(2));
-    if (!Tgt)
-      return Tgt.error();
-    if (hasCursorNav(A(0))) {
-      auto Cur = stmtCur(0);
-      if (!Cur)
-        return Cur.error();
-      auto Wide = *C > 1 ? Cur->expand(unsigned(*C) - 1)
-                         : Expected<Cursor>(*Cur);
-      if (!Wide)
-        return Wide.error();
-      return replaceWith(*Wide, *Tgt);
-    }
-    return replaceWith(P, A(0), unsigned(*C), *Tgt);
-  }
-  if (Op == "config_write") {
-    if (S.Args.size() != 4)
-      return arity(S, 4);
-    auto Cfg = resolveConfig(A(1));
-    if (!Cfg)
-      return Cfg.error();
-    return configWriteAt(P, A(0), *Cfg, A(2), A(3));
-  }
-  if (Op == "hoist") {
-    if (S.Args.size() != 1)
-      return arity(S, 1);
-    if (hasCursorNav(A(0))) {
-      auto C = stmtCur(0);
-      if (!C)
-        return C.error();
-      return hoistStmtToTop(*C);
-    }
-    return hoistStmtToTop(P, A(0));
-  }
-  // --- Composable named procedures (scheduling/Procedures.h) as single
-  //     trace steps, so ScheduleGen traces and tuner skeletons can speak
-  //     the same vocabulary the apps do. ---
-  if (Op == "tile2d") {
-    if (S.Args.size() != 8)
-      return arity(S, 8);
-    auto TI = parseNum(A(1));
-    if (!TI)
-      return TI.error();
-    auto TJ = parseNum(A(2));
-    if (!TJ)
-      return TJ.error();
-    SplitTail T = A(7) == "cut"       ? SplitTail::Cut
-                  : A(7) == "perfect" ? SplitTail::Perfect
-                                      : SplitTail::Guard;
-    if (hasCursorNav(A(0))) {
-      auto C = loopCur(0);
-      if (!C)
-        return C.error();
-      return tile2D(*C, *TI, *TJ, A(3), A(4), A(5), A(6), T);
-    }
-    return tile2D(P, A(0), *TI, *TJ, A(3), A(4), A(5), A(6), T);
-  }
-  if (Op == "auto_divide") {
-    if (S.Args.size() != 4)
-      return arity(S, 4);
-    auto M = parseNum(A(1));
-    if (!M)
-      return M.error();
-    if (hasCursorNav(A(0))) {
-      auto C = loopCur(0);
-      if (!C)
-        return C.error();
-      return autoDivide(*C, *M, A(2), A(3));
-    }
-    return autoDivide(P, Schedule::loopPattern(A(0)), *M, A(2), A(3));
-  }
-  if (Op == "stage_vec") {
-    if (S.Args.size() != 7)
-      return arity(S, 7);
-    auto L = parseNum(A(4));
-    if (!L)
-      return L.error();
-    if (hasCursorNav(A(0))) {
-      auto C = stmtCur(0);
-      if (!C)
-        return C.error();
-      return stageAndVectorize(*C, A(1), A(2), A(3), *L, A(5), A(6));
-    }
-    return stageAndVectorize(P, A(0), A(1), A(2), A(3), *L, A(5), A(6));
-  }
-  if (Op == "simplify")
-    return simplify(P);
-  if (Op == "delete_pass")
-    return deletePass(P);
-  if (Op == "unsound_drop_iter") {
-    if (S.Args.size() != 2)
-      return arity(S, 2);
-    auto N = parseNum(A(1));
-    if (!N)
-      return N.error();
-    return unsoundDropIter(P, A(0), *N);
-  }
-  return makeError(Error::Kind::Parse, "unknown trace op '" + Op + "'");
+  const OpSpec *Op = findOp(S.Op);
+  if (!Op)
+    return makeError(Error::Kind::Parse, "unknown trace op '" + S.Op + "'");
+  auto A = parseArgs(P, *Op, S);
+  if (!A)
+    return A.error();
+  return Op->Apply(P, *A);
 }
 
 Expected<ProcRef> exo::testing::applyTrace(
@@ -1124,13 +1062,11 @@ unsigned nameCounterFloor(const std::vector<ScheduleStep> &Trace) {
   return 100 + unsigned(Trace.size()) * 2;
 }
 
-/// The argument indices holding small positive integers, per op — the
-/// knobs numeric perturbation may turn.
+/// The argument index holding a small positive integer — the knob
+/// numeric perturbation may turn — or -1.
 int numericArgIndex(const ScheduleStep &S) {
-  if (S.Op == "split" || S.Op == "partition" || S.Op == "lift_alloc" ||
-      S.Op == "auto_divide" || S.Op == "tile2d")
-    return 1;
-  return -1;
+  const OpSpec *Op = findOp(S.Op);
+  return Op ? Op->Knob : -1;
 }
 
 } // namespace

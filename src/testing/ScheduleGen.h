@@ -43,7 +43,9 @@ struct ScheduleStep {
   static Expected<ScheduleStep> parse(const std::string &Line);
 };
 
-/// Applies one step to \p P through the scheduling layer. Unknown
+/// Applies one step to \p P through the scheduling layer: the op's entry
+/// in the trace op table fixes its argument kinds, its target argument
+/// resolves to a cursor once, and the operator's cursor form runs. Unknown
 /// operators and malformed arguments are errors; operator rejection is
 /// reported exactly as the scheduling layer reported it.
 Expected<ir::ProcRef> applyStep(const ir::ProcRef &P, const ScheduleStep &S);

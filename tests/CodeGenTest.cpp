@@ -6,18 +6,13 @@
 
 #include "backend/CodeGen.h"
 
+#include "backend/Backend.h"
 #include "backend/Checks.h"
 #include "backend/Memory.h"
 #include "interp/Interp.h"
 #include "scheduling/Schedule.h"
-#include "support/TempDir.h"
 
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <random>
 
 using namespace exo;
 using namespace exo::backend;
@@ -166,46 +161,17 @@ def f(x: R[8, 8], y: R[8]):
 }
 
 //===----------------------------------------------------------------------===//
-// Compile-and-run: generated C must agree with the interpreter.
+// Compile-and-run: generated C must agree with the interpreter. Both cases
+// run through the csource backend (its own -O1 host compile and call
+// harness), the one compile-and-run path the fuzz oracle also uses.
 //===----------------------------------------------------------------------===//
 
-/// Compiles the generated C plus a main() harness, runs it, and returns
-/// the printed doubles.
-std::vector<double> compileAndRun(const std::string &CCode,
-                                  const std::string &MainCode,
-                                  bool &Ok) {
-  Ok = false;
-  // A directory per call: the exec tests run as separate processes under
-  // ctest -j, so fixed names in a shared directory would race.
-  support::TempDir Dir("codegen_test");
-  if (!Dir.valid())
-    return {};
-  std::string CPath = Dir.file("exo_gen.c");
-  std::string Bin = Dir.file("exo_gen_bin");
-  std::string OutPath = Dir.file("exo_gen_out.txt");
-  std::string ErrPath = Dir.file("cc_err.txt");
-  {
-    std::ofstream F(CPath);
-    F << CCode << "\n#include <stdio.h>\n" << MainCode;
-  }
-  std::string Cmd = "cc -O1 -std=c11 -o " + Bin + " " + CPath +
-                    " -lm 2> " + ErrPath;
-  if (std::system(Cmd.c_str()) != 0) {
-    std::ifstream E(ErrPath);
-    std::string Line;
-    while (std::getline(E, Line))
-      fprintf(stderr, "cc: %s\n", Line.c_str());
-    return {};
-  }
-  if (std::system((Bin + " > " + OutPath).c_str()) != 0)
-    return {};
-  std::ifstream In(OutPath);
-  std::vector<double> Values;
-  double V;
-  while (In >> V)
-    Values.push_back(V);
-  Ok = true;
-  return Values;
+/// Lowers \p P through the csource backend and calls it on \p Args.
+void runOnCSource(const ProcRef &P, BufferSet &Args) {
+  auto M = csourceBackend().lower(P);
+  ASSERT_TRUE(bool(M)) << M.error().str();
+  ExecStatus S = csourceBackend().execute(**M, P->name(), Args);
+  ASSERT_TRUE(S.ok()) << execKindName(S.Kind) << ": " << S.Detail;
 }
 
 TEST(CodeGenExecTest, GeneratedGemmMatchesInterpreter) {
@@ -218,59 +184,41 @@ def gemm(n: size, A: R[n, n], B: R[n, n], C: R[n, n]):
                 C[i, j] += A[i, k] * B[k, j]
 )";
   ProcRef P = mustParse(Src);
-  auto C = generateC(P);
-  ASSERT_TRUE(bool(C)) << C.error().str();
 
   const int64_t N = 6;
-  // Deterministic pseudo-random inputs reproduced in the C harness.
-  std::string Main = R"(
-int main(void) {
-  enum { N = 6 };
-  float A[N*N], B[N*N], C[N*N];
-  unsigned s = 12345;
-  for (int i = 0; i < N*N; i++) {
-    s = s * 1103515245u + 12345u;
-    A[i] = (float)((s >> 16) % 1000) / 250.0f - 2.0f;
-  }
-  for (int i = 0; i < N*N; i++) {
-    s = s * 1103515245u + 12345u;
-    B[i] = (float)((s >> 16) % 1000) / 250.0f - 2.0f;
-  }
-  for (int i = 0; i < N*N; i++) C[i] = 0.0f;
-  gemm(N, A, B, C);
-  for (int i = 0; i < N*N; i++) printf("%.6f\n", (double)C[i]);
-  return 0;
-}
-)";
-  bool Ok = false;
-  std::vector<double> FromC = compileAndRun(*C, Main, Ok);
-  ASSERT_TRUE(Ok) << "compilation or execution failed";
-  ASSERT_EQ(FromC.size(), static_cast<size_t>(N * N));
-
-  // Interpreter with the same inputs.
-  std::vector<double> A(N * N), B(N * N), CC(N * N, 0.0);
+  // Deterministic pseudo-random inputs, shared by both executions.
+  std::vector<float> A(N * N), B(N * N), C(N * N, 0.0f);
   unsigned S = 12345;
   auto NextVal = [&S]() {
     S = S * 1103515245u + 12345u;
-    return static_cast<double>(
-               static_cast<float>((S >> 16) % 1000) / 250.0f) -
-           2.0;
+    return static_cast<float>((S >> 16) % 1000) / 250.0f - 2.0f;
   };
   for (auto &V : A)
     V = NextVal();
   for (auto &V : B)
     V = NextVal();
+  BufferSet Args = {RunArg::control(N),
+                    RunArg::buffer(A.data(), A.size() * sizeof(float)),
+                    RunArg::buffer(B.data(), B.size() * sizeof(float)),
+                    RunArg::buffer(C.data(), C.size() * sizeof(float))};
+  runOnCSource(P, Args);
+  if (HasFatalFailure())
+    return;
+
+  // Interpreter with the same inputs.
+  std::vector<double> AD(A.begin(), A.end()), BD(B.begin(), B.end()),
+      CD(N * N, 0.0);
   interp::Interp I;
   auto R = I.run(P, {interp::ArgValue::control(N),
                      interp::ArgValue::buffer(
-                         interp::BufferView::dense(A.data(), {N, N})),
+                         interp::BufferView::dense(AD.data(), {N, N})),
                      interp::ArgValue::buffer(
-                         interp::BufferView::dense(B.data(), {N, N})),
+                         interp::BufferView::dense(BD.data(), {N, N})),
                      interp::ArgValue::buffer(
-                         interp::BufferView::dense(CC.data(), {N, N}))});
+                         interp::BufferView::dense(CD.data(), {N, N}))});
   ASSERT_TRUE(bool(R)) << R.error().str();
   for (int64_t K = 0; K < N * N; ++K)
-    EXPECT_NEAR(FromC[K], CC[K], 1e-3) << "element " << K;
+    EXPECT_NEAR(C[K], CD[K], 1e-3) << "element " << K;
 }
 
 TEST(CodeGenExecTest, ScheduledGemmMatchesToo) {
@@ -289,32 +237,25 @@ def gemm16(A: R[16, 16], B: R[16, 16], C: R[16, 16]):
   Q = *reorderLoops(Q, "for ii in _: _");
   Q = *stageMem(Q, "for ii in _: _", 1, "B[0:16, j:j+1]", "b_col");
   Q = *simplify(Q);
-  auto C = generateC(Q);
-  ASSERT_TRUE(bool(C)) << C.error().str();
 
-  std::string Main = R"(
-int main(void) {
-  enum { N = 16 };
-  float A[N*N], B[N*N], C[N*N];
-  for (int i = 0; i < N*N; i++) { A[i] = (float)(i % 7) - 3.0f;
-                                  B[i] = (float)(i % 5) - 2.0f;
-                                  C[i] = 0.0f; }
-  gemm16(A, B, C);
-  for (int i = 0; i < N*N; i++) printf("%.6f\n", (double)C[i]);
-  return 0;
-}
-)";
-  bool Ok = false;
-  std::vector<double> FromC = compileAndRun(*C, Main, Ok);
-  ASSERT_TRUE(Ok);
-  ASSERT_EQ(FromC.size(), 256u);
+  std::vector<float> A(256), B(256), C(256, 0.0f);
+  for (int I = 0; I < 256; ++I) {
+    A[I] = float(I % 7) - 3.0f;
+    B[I] = float(I % 5) - 2.0f;
+  }
+  BufferSet Args = {RunArg::buffer(A.data(), A.size() * sizeof(float)),
+                    RunArg::buffer(B.data(), B.size() * sizeof(float)),
+                    RunArg::buffer(C.data(), C.size() * sizeof(float))};
+  runOnCSource(Q, Args);
+  if (HasFatalFailure())
+    return;
   for (int I = 0; I < 256; ++I) {
     int Row = I / 16, Col = I % 16;
     double Want = 0;
     for (int K = 0; K < 16; ++K)
       Want += (double)((Row * 16 + K) % 7 - 3.0) *
               (double)((K * 16 + Col) % 5 - 2.0);
-    EXPECT_NEAR(FromC[I], Want, 1e-3) << "element " << I;
+    EXPECT_NEAR(C[I], Want, 1e-3) << "element " << I;
   }
 }
 

@@ -8,7 +8,7 @@
 /// Tests for first-class cursors and rewrite forwarding (DESIGN.md,
 /// "Cursors and forwarding"): structural navigation, the four forwarding
 /// fates and their contracts, invalidation diagnostics, the byte-identity
-/// of cursor-taking operator overloads against their pattern spellings,
+/// of each operator's cursor and pattern spellings (and their errors),
 /// the composable named procedures (tile2D / stageAndVectorize /
 /// autoDivide) against hand-written primitive sequences, and the trace
 /// layer's '@' cursor-navigation grammar plus the procedure step kinds.
@@ -413,7 +413,7 @@ TEST(CursorTest, ChainComposesByMaxSeverity) {
 }
 
 //===----------------------------------------------------------------------===//
-// Cursor-taking overloads: byte-identical to the pattern spellings
+// Cursor and pattern spellings: the same rewrite, the same errors
 //===----------------------------------------------------------------------===//
 
 TEST(CursorTest, CursorOverloadsMatchPatternPrimitives) {
@@ -461,6 +461,68 @@ def tw(x: R[8]):
       must(stageMem(Two, "for i in _: _", 2, "x[0:8]", "xs"), "p stage2")
           ->body(),
       {}));
+
+  // Failing inputs: the pattern spelling keeps its message and carries
+  // its pattern; the cursor spelling fails with the same kind and
+  // operator.
+  auto OpOf = [](const Error &E) {
+    return E.scheduleInfo() ? E.scheduleInfo()->Op : std::string();
+  };
+  auto PatternOf = [](const Error &E) {
+    return E.scheduleInfo() ? E.scheduleInfo()->Pattern : std::string();
+  };
+  auto PSplit = splitLoop(P, "for i in _: _", 3, "io", "ii",
+                          SplitTail::Perfect);
+  auto CSplit = splitLoop(I, 3, "io", "ii", SplitTail::Perfect);
+  ASSERT_FALSE(bool(PSplit));
+  ASSERT_FALSE(bool(CSplit));
+  EXPECT_EQ(PSplit.error().message(),
+            "split(perfect): cannot prove 3 divides 8");
+  EXPECT_EQ(PatternOf(PSplit.error()), "for i in _: _");
+  EXPECT_EQ(OpOf(PSplit.error()), "split");
+  EXPECT_EQ(PSplit.error().scheduleInfo()->SolverVerdict,
+            ScheduleErrorInfo::Verdict::No);
+  EXPECT_EQ(CSplit.error().kind(), PSplit.error().kind());
+  EXPECT_EQ(OpOf(CSplit.error()), OpOf(PSplit.error()));
+
+  ProcRef Imperfect = mustParse(R"(
+@proc
+def imp(x: R[8, 8], y: R[8]):
+    for i in seq(0, 8):
+        y[i] = 0.0
+        for j in seq(0, 8):
+            x[i, j] = 1.0
+)");
+  auto PReorder = reorderLoops(Imperfect, "for i in _: _");
+  auto CReorder =
+      reorderLoops(must(Cursor::find(Imperfect, "for i in _: _"), "imp i"));
+  ASSERT_FALSE(bool(PReorder));
+  ASSERT_FALSE(bool(CReorder));
+  EXPECT_EQ(PReorder.error().message(),
+            "reorder: loop body must be exactly one nested loop");
+  EXPECT_EQ(PatternOf(PReorder.error()), "for i in _: _");
+  EXPECT_EQ(CReorder.error().kind(), PReorder.error().kind());
+  EXPECT_EQ(OpOf(CReorder.error()), OpOf(PReorder.error()));
+}
+
+TEST(CursorTest, CursorsReachPastPatternOrdinal1023) {
+  // 40 x 30 unrolled: 1200 top-level `x = _` statements. A cursor is a
+  // position, so it addresses #1099 as directly as #0.
+  ProcRef P = mustParse(R"(
+@proc
+def big(x: R[40, 30]):
+    for i in seq(0, 40):
+        for j in seq(0, 30):
+            x[i, j] = 1.0
+)");
+  ProcRef U = must(unrollLoop(P, "for j in _: _"), "unroll j");
+  U = must(unrollLoop(U, "for i in _: _"), "unroll i");
+  ASSERT_EQ(U->body().size(), 1200u);
+  auto ByCursor = moveStmtUp(must(Cursor::find(U, "x = _ #1099"), "find"));
+  ASSERT_TRUE(bool(ByCursor)) << ByCursor.error().str();
+  ProcRef ByPattern = must(moveStmtUp(U, "x = _ #1099"), "pattern move_up");
+  EXPECT_TRUE(alphaEquivalent((*ByCursor)->body(), ByPattern->body(), {}));
+  EXPECT_EQ(printStmt((*ByCursor)->body()[1098]), "x[36, 19] = 1.0\n");
 }
 
 //===----------------------------------------------------------------------===//
@@ -687,6 +749,11 @@ def dup(x: R[4, 4]):
       must(ScheduleStep::parse("split|t @body.body.body|2|a|b|perfect"),
            "deep");
   EXPECT_FALSE(bool(applyStep(P, Deep)));
+  // A selection needs at least one statement.
+  ScheduleStep Empty = must(
+      ScheduleStep::parse("stage|for t in _: _|0|x[0:4, 0:4]|xs|DRAM"),
+      "empty");
+  EXPECT_FALSE(bool(applyStep(P, Empty)));
 }
 
 } // namespace

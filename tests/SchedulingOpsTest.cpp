@@ -7,12 +7,13 @@
 /// \file
 /// Tests for the operators not exercised by SchedulingTest.cpp:
 /// bind_config, multi-level lift_alloc, move_stmt_up, delete_pass, the
-/// hoist composite, and the paper's edge-case dispatch pattern
-/// (partition_loop + specialized kernels + call_eqv + masked tails).
+/// hoist composite (including same-named siblings), and the paper's
+/// edge-case dispatch pattern (partition_loop + specialized kernels +
+/// call_eqv + masked tails).
 ///
 //===----------------------------------------------------------------------===//
 
-#include "scheduling/Schedule.h"
+#include "scheduling/Cursor.h"
 
 #include "backend/CodeGen.h"
 
@@ -180,6 +181,39 @@ def f(x: R[8, 8], y: R[8, 8]):
   std::string S = printProc(Q);
   EXPECT_EQ(S.find("CfgHC.st", S.find("CfgHC.st") + 1), std::string::npos)
       << S;
+}
+
+TEST(SchedulingOpsTest, HoistFollowsItsStatementPastSameNamedSiblings) {
+  // Hoisting the second of two writes to x swaps their pattern ordinals
+  // after the first move; the hoist must keep following its statement.
+  ProcRef P = mustParse(R"(
+@proc
+def f(x: R[2]):
+    x[0] = 1.0
+    x[1] = 2.0
+)");
+  auto ByPattern = hoistStmtToTop(P, "x = _ #1");
+  ASSERT_TRUE(bool(ByPattern)) << ByPattern.error().str();
+  EXPECT_EQ(printStmt((*ByPattern)->body()[0]), "x[1] = 2.0\n");
+  EXPECT_EQ(printStmt((*ByPattern)->body()[1]), "x[0] = 1.0\n");
+  auto ByCursor = hoistStmtToTop(must(Cursor::find(P, "x = _ #1"), "find"));
+  ASSERT_TRUE(bool(ByCursor)) << ByCursor.error().str();
+  EXPECT_EQ(printProc(*ByCursor), printProc(*ByPattern));
+
+  // The same through a loop: the write climbs out of i (fission, then
+  // remove_loop) and then passes the same-named write above the loop.
+  ProcRef Q = mustParse(R"(
+@proc
+def g(x: R[4], y: R[2]):
+    y[0] = 1.0
+    for i in seq(0, 4):
+        x[i] = 2.0
+        y[1] = 3.0
+)");
+  auto Nested = hoistStmtToTop(Q, "y = _ #1");
+  ASSERT_TRUE(bool(Nested)) << Nested.error().str();
+  EXPECT_EQ(printStmt((*Nested)->body()[0]), "y[1] = 3.0\n");
+  EXPECT_EQ(printStmt((*Nested)->body()[1]), "y[0] = 1.0\n");
 }
 
 /// The paper's §7.2 edge-case architecture in miniature: partition the
