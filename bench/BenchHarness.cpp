@@ -6,10 +6,6 @@
 
 #include "BenchHarness.h"
 
-#include "analysis/EffectCache.h"
-#include "smt/QueryCache.h"
-#include "smt/Solver.h"
-#include "smt/Term.h"
 #include "support/TempDir.h"
 
 #include <cstdio>
@@ -73,56 +69,6 @@ exo::bench::compileAndRun(const std::string &CSource,
   while (In >> T)
     Tokens.push_back(T);
   return Tokens;
-}
-
-std::string exo::bench::solverStatsJson() {
-  smt::Solver::Stats S = smt::solverGlobalStats();
-  smt::QueryCacheStats Q = smt::solverQueryCacheStats();
-  analysis::EffectCacheStats E = analysis::effectCacheStats();
-  smt::TermInternerStats T = smt::termInternerStats();
-  std::ostringstream O;
-  O << "{\n"
-    << "  \"solver\": {\"queries\": " << S.NumQueries
-    << ", \"unknown\": " << S.NumUnknown
-    << ", \"unknown_budget\": " << S.NumUnknownBudget
-    << ", \"unknown_structural\": " << S.NumUnknownStructural
-    << ", \"unknown_timeout\": " << S.NumUnknownTimeout
-    << ", \"cache_hits\": " << S.CacheHits
-    << ", \"cache_misses\": " << S.CacheMisses
-    << ", \"cooper_literals\": " << S.NumLiterals
-    << ", \"cooper_reorders\": " << S.CooperReorders
-    << ", \"cooper_early_exits\": " << S.CooperEarlyExits << "},\n"
-    << "  \"simplify\": {\"decided\": " << S.SimplifyDecided
-    << ", \"const_fold_hits\": " << S.SimplifyConstFoldHits
-    << ", \"const_fold_misses\": " << S.SimplifyConstFoldMisses
-    << ", \"eq_subst_hits\": " << S.SimplifyEqSubstHits
-    << ", \"eq_subst_misses\": " << S.SimplifyEqSubstMisses
-    << ", \"interval_hits\": " << S.SimplifyIntervalHits
-    << ", \"interval_misses\": " << S.SimplifyIntervalMisses
-    << ", \"fastpath_hits\": " << S.FastPathHits
-    << ", \"fastpath_misses\": " << S.FastPathMisses << "},\n"
-    << "  \"query_cache\": {\"hits\": " << Q.Hits
-    << ", \"misses\": " << Q.Misses << ", \"insertions\": " << Q.Insertions
-    << ", \"evictions\": " << Q.Evictions
-    << ", \"uncacheable\": " << Q.Uncacheable << ", \"size\": " << Q.Size
-    << "},\n"
-    << "  \"effect_cache\": {\"hits\": " << E.Hits
-    << ", \"misses\": " << E.Misses << ", \"uncacheable\": " << E.Uncacheable
-    << ", \"evictions\": " << E.Evictions << ", \"size\": " << E.Size
-    << "},\n"
-    << "  \"term_interner\": {\"hits\": " << T.Hits
-    << ", \"misses\": " << T.Misses << ", \"flushes\": " << T.Flushes
-    << ", \"live\": " << T.Live << "}\n"
-    << "}\n";
-  return O.str();
-}
-
-bool exo::bench::writeSolverStatsJson(const std::string &Path) {
-  std::ofstream Out(Path);
-  if (!Out)
-    return false;
-  Out << solverStatsJson();
-  return static_cast<bool>(Out);
 }
 
 void exo::bench::printRow(const std::vector<std::string> &Cells,

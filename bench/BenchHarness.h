@@ -41,16 +41,6 @@ std::string avx512RuntimeDir();
 void printRow(const std::vector<std::string> &Cells,
               const std::vector<int> &Widths);
 
-/// A JSON object snapshotting the solver/caching instrumentation: the
-/// process-wide aggregate Solver::Stats, the query-cache counters, the
-/// effect-cache counters, and the term-interner counters. Bench harnesses
-/// append this to their output so the bench trajectory records cache
-/// behaviour alongside timings.
-std::string solverStatsJson();
-
-/// Writes solverStatsJson() to \p Path; returns false on I/O failure.
-bool writeSolverStatsJson(const std::string &Path);
-
 } // namespace bench
 } // namespace exo
 

@@ -30,7 +30,6 @@
 #include "driver/KernelSuite.h"
 #include "smt/QueryCache.h"
 #include "smt/Simplify.h"
-#include "smt/Solver.h"
 
 #include <cstdio>
 #include <fstream>
@@ -100,11 +99,10 @@ int main(int argc, char **argv) {
     smt::setSimplifyConfig(R.Cfg);
     smt::clearSolverQueryCache();
     analysis::clearEffectCache();
-    smt::resetSolverGlobalStats();
     BatchResult B = BatchDriver(1, Opts).run(standardKernelSuite());
     R.Ms = B.WallMillis;
     R.AllOk = B.AllOk;
-    R.S = smt::solverGlobalStats();
+    R.S = B.Cache.Solver;
     char T[32], Q[32], D[32], FH[32], FM[32], L[32], U[32];
     std::snprintf(T, 32, "%.1f", R.Ms);
     std::snprintf(Q, 32, "%llu", (unsigned long long)R.S.NumQueries);
@@ -143,29 +141,26 @@ int main(int argc, char **argv) {
                   ? (double)Off.S.NumLiterals / (double)On.S.NumLiterals
                   : 0.0);
 
-  std::ofstream OutF(OutPath);
-  OutF << "{\n  \"rows\": [\n";
-  for (size_t I = 0; I < Rows.size(); ++I) {
-    const Row &R = Rows[I];
-    OutF << "    {\"config\": \"" << R.Name << "\", \"ok\": "
-         << (R.AllOk ? "true" : "false") << ", \"ms\": " << R.Ms
-         << ", \"queries\": " << R.S.NumQueries
-         << ", \"simplify_decided\": " << R.S.SimplifyDecided
-         << ", \"fastpath_hits\": " << R.S.FastPathHits
-         << ", \"fastpath_misses\": " << R.S.FastPathMisses
-         << ", \"cooper_literals\": " << R.S.NumLiterals
-         << ", \"cooper_reorders\": " << R.S.CooperReorders
-         << ", \"cooper_early_exits\": " << R.S.CooperEarlyExits
-         << ", \"unknown\": " << R.S.NumUnknown << "}"
-         << (I + 1 < Rows.size() ? "," : "") << "\n";
-  }
-  OutF << "  ],\n  \"metric\": {\"answered_before_cooper\": " << Answered
-       << ", \"posed\": " << Posed << ", \"ratio\": " << Ratio
-       << ", \"ground_at_arrival\": " << GroundAtArrival
-       << "},\n  \"tripwire\": {\"baseline_all_on_literals\": "
-       << BaselineAllOnLiterals
-       << ", \"all_on_literals\": " << On.S.NumLiterals << "}\n}\n";
-  OutF.close();
+  support::Json RowsJson = support::Json::array();
+  for (const Row &R : Rows)
+    RowsJson.push(support::Json::object()
+                      .set("config", R.Name)
+                      .set("ok", R.AllOk)
+                      .set("ms", R.Ms)
+                      .merge(R.S.toJson()));
+  support::Json Out =
+      support::Json::object()
+          .set("rows", std::move(RowsJson))
+          .set("metric", support::Json::object()
+                             .set("answered_before_cooper", Answered)
+                             .set("posed", Posed)
+                             .set("ratio", Ratio)
+                             .set("ground_at_arrival", GroundAtArrival))
+          .set("tripwire",
+               support::Json::object()
+                   .set("baseline_all_on_literals", BaselineAllOnLiterals)
+                   .set("all_on_literals", On.S.NumLiterals));
+  std::ofstream(OutPath) << Out.dump() << "\n";
   std::printf("wrote %s\n", OutPath.c_str());
 
   int Failures = 0;

@@ -21,11 +21,9 @@
 
 #include "BenchHarness.h"
 
-#include "analysis/EffectCache.h"
 #include "apps/GemminiMatmul.h"
-#include "smt/QueryCache.h"
+#include "driver/CompilerCounters.h"
 #include "smt/Simplify.h"
-#include "smt/Solver.h"
 
 #include <chrono>
 #include <cstdio>
@@ -38,6 +36,7 @@ int main() {
               "(Gemmini matmul 128^3 pipeline)\n");
   const uint64_t Budgets[] = {100,     1000,    10'000,   50'000,
                               200'000, 500'000, 2'000'000};
+  driver::CompilerCounters LastRow;
   // Two sweeps: preprocessing pipeline off, then on. The success
   // threshold shifts left with the pipeline enabled because most
   // containment/disjointness obligations are decided before Cooper ever
@@ -61,13 +60,14 @@ int main() {
     // Yes/No hits would hide the solve-time scaling).
     smt::clearSolverQueryCache();
     analysis::clearEffectCache();
-    smt::resetSolverGlobalStats();
+    driver::CompilerCounters Before = driver::CompilerCounters::global();
     auto T0 = std::chrono::steady_clock::now();
     auto K = apps::buildGemminiMatmul(128, 128, 128);
     auto T1 = std::chrono::steady_clock::now();
     double Ms =
         std::chrono::duration<double, std::milli>(T1 - T0).count();
-    smt::Solver::Stats S = smt::solverGlobalStats();
+    LastRow = driver::CompilerCounters::global().since(Before);
+    const smt::Solver::Stats &S = LastRow.Solver;
     char BBuf[32], TBuf[32], UB[32], US[32], CH[32];
     std::snprintf(BBuf, 32, "%llu", (unsigned long long)Budget);
     std::snprintf(TBuf, 32, "%.1f", Ms);
@@ -84,7 +84,7 @@ int main() {
   std::printf("\nSafety is preserved at every budget: an exhausted solver "
               "rejects the rewrite\ninstead of admitting it (§5: analyses "
               "may approximate, but only toward 'no').\n");
-  std::printf("\nInstrumentation snapshot (last row):\n%s",
-              solverStatsJson().c_str());
+  std::printf("\nInstrumentation snapshot (last row):\n%s\n",
+              LastRow.toJson().dump().c_str());
   return 0;
 }

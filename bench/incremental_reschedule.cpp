@@ -36,6 +36,7 @@
 #include "analysis/EffectSnapshot.h"
 #include "scheduling/Pattern.h"
 #include "scheduling/Schedule.h"
+#include "support/Json.h"
 #include "testing/ProgramGen.h"
 
 #include <algorithm>
@@ -290,19 +291,21 @@ int main(int argc, char **argv) {
               Speedup, TripwireSpeedup, (unsigned long long)Hits,
               (unsigned long long)Misses);
 
-  std::ofstream OutF(OutPath);
-  OutF << "{\n  \"benchmark\": \"BM_IncrementalReschedule\""
-       << ",\n  \"stmt_nodes\": " << Stmts
-       << ",\n  \"target_loops\": " << Targets.size()
-       << ",\n  \"rewrites\": " << Rewrites
-       << ",\n  \"full_ms\": " << FullMs
-       << ",\n  \"incremental_ms\": " << IncMs
-       << ",\n  \"speedup\": " << Speedup
-       << ",\n  \"incremental_hits\": " << Hits
-       << ",\n  \"incremental_misses\": " << Misses
-       << ",\n  \"tripwire\": {\"floor_speedup\": " << TripwireSpeedup
-       << "}\n}\n";
-  OutF.close();
+  std::ofstream(OutPath)
+      << support::Json::object()
+             .set("benchmark", "BM_IncrementalReschedule")
+             .set("stmt_nodes", Stmts)
+             .set("target_loops", Targets.size())
+             .set("rewrites", Rewrites)
+             .set("full_ms", FullMs)
+             .set("incremental_ms", IncMs)
+             .set("speedup", Speedup)
+             .set("incremental_hits", Hits)
+             .set("incremental_misses", Misses)
+             .set("tripwire", support::Json::object().set("floor_speedup",
+                                                          TripwireSpeedup))
+             .dump()
+      << "\n";
   std::printf("wrote %s\n", OutPath.c_str());
 
   if (Speedup < TripwireSpeedup) {

@@ -203,13 +203,10 @@ void BM_Fig5aScheduleReplay(benchmark::State &State) {
     auto K = apps::buildSgemm(48, 128, 64);
     benchmark::DoNotOptimize(K);
   }
-  smt::Solver::Stats After = smt::solverGlobalStats();
-  State.counters["solver_hits"] =
-      static_cast<double>(After.CacheHits - Before.CacheHits);
-  State.counters["solver_misses"] =
-      static_cast<double>(After.CacheMisses - Before.CacheMisses);
-  State.counters["solver_queries"] =
-      static_cast<double>(After.NumQueries - Before.NumQueries);
+  smt::Solver::Stats D = smt::solverGlobalStats().since(Before);
+  State.counters["solver_hits"] = static_cast<double>(D.CacheHits);
+  State.counters["solver_misses"] = static_cast<double>(D.CacheMisses);
+  State.counters["solver_queries"] = static_cast<double>(D.NumQueries);
 }
 BENCHMARK(BM_Fig5aScheduleReplay);
 

@@ -32,14 +32,13 @@ void coldCaches() {
   smt::clearTermInterner();
   smt::clearSolverQueryCache();
   analysis::clearEffectCache();
-  smt::resetSolverGlobalStats();
 }
 
 void runBatch(benchmark::State &State, unsigned Threads) {
   std::vector<CompileJob> Jobs = standardKernelSuite();
   BatchDriver Driver(Threads);
   uint64_t Bytes = 0;
-  BatchCacheStats Last;
+  CompilerCounters Last;
   for (auto _ : State) {
     coldCaches();
     BatchResult R = Driver.run(Jobs);
@@ -53,11 +52,12 @@ void runBatch(benchmark::State &State, unsigned Threads) {
   }
   State.counters["threads"] = static_cast<double>(Threads);
   State.counters["c_bytes"] = static_cast<double>(Bytes);
-  State.counters["solver_queries"] = static_cast<double>(Last.SolverQueries);
+  State.counters["solver_queries"] =
+      static_cast<double>(Last.Solver.NumQueries);
   State.counters["query_cache_hits"] =
-      static_cast<double>(Last.QueryCacheHits);
-  State.counters["term_hits"] = static_cast<double>(Last.TermHits);
-  State.counters["effect_hits"] = static_cast<double>(Last.EffectHits);
+      static_cast<double>(Last.QueryCache.Hits);
+  State.counters["term_hits"] = static_cast<double>(Last.TermInterner.Hits);
+  State.counters["effect_hits"] = static_cast<double>(Last.EffectCache.Hits);
 }
 
 void BM_BatchCompile1(benchmark::State &State) { runBatch(State, 1); }

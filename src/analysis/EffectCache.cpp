@@ -958,17 +958,35 @@ void exo::analysis::setEffectCacheEnabled(bool Enabled) {
   EffectCache::get().Enabled.store(Enabled, std::memory_order_relaxed);
 }
 
+static const support::CounterField<EffectCacheStats> EffectCacheStatFields[] = {
+    {"hits", &EffectCacheStats::Hits},
+    {"misses", &EffectCacheStats::Misses},
+    {"uncacheable", &EffectCacheStats::Uncacheable},
+    {"evictions", &EffectCacheStats::Evictions},
+    {"cross_compile_hits", &EffectCacheStats::CrossCompileHits},
+    {"canon_indexed", &EffectCacheStats::CanonIndexed},
+    {"canon_unshareable", &EffectCacheStats::CanonUnshareable},
+};
+
+EffectCacheStats EffectCacheStats::since(const EffectCacheStats &Before) const {
+  return support::countersSince(*this, Before, EffectCacheStatFields);
+}
+
+support::Json EffectCacheStats::toJson() const {
+  return support::countersJson(*this, EffectCacheStatFields)
+      .set("size", static_cast<uint64_t>(Size))
+      .set("canon_size", static_cast<uint64_t>(CanonSize));
+}
+
 EffectCacheStats exo::analysis::effectCacheStats() {
   EffectCache &E = EffectCache::get();
   EffectCacheStats Sum;
   for (CacheShard &C : E.Shards) {
     std::lock_guard<std::mutex> Lock(C.M);
-    Sum.Hits += C.Stats.Hits;
-    Sum.Misses += C.Stats.Misses;
-    Sum.Uncacheable += C.Stats.Uncacheable;
-    Sum.Evictions += C.Stats.Evictions;
+    support::countersAdd(Sum, C.Stats, EffectCacheStatFields);
     Sum.Size += C.Table.size();
   }
+  // The canonical index keeps its own counters (atomics, not per shard).
   Sum.CrossCompileHits = E.CrossCompileHits.load(std::memory_order_relaxed);
   Sum.CanonIndexed = E.CanonIndexed.load(std::memory_order_relaxed);
   Sum.CanonUnshareable = E.CanonUnshareable.load(std::memory_order_relaxed);

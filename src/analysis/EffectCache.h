@@ -63,8 +63,13 @@ struct EffectCacheStats {
   uint64_t CrossCompileHits = 0;
   uint64_t CanonIndexed = 0;     ///< canonical records stored
   uint64_t CanonUnshareable = 0; ///< summaries not canonically indexable
-  size_t Size = 0;               ///< statements currently cached
-  size_t CanonSize = 0;          ///< canonical records currently stored
+  size_t Size = 0;               ///< statements currently cached (a gauge)
+  size_t CanonSize = 0;          ///< canonical records stored (a gauge)
+
+  /// The counts accumulated since \p Before; the gauges stay this
+  /// snapshot's.
+  EffectCacheStats since(const EffectCacheStats &Before) const;
+  support::Json toJson() const;
 };
 
 /// True iff extracting \p S can neither read nor write dataflow state: no

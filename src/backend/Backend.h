@@ -42,6 +42,7 @@
 #include "backend/CodeGen.h"
 #include "ir/Proc.h"
 #include "support/Error.h"
+#include "support/Json.h"
 
 #include <memory>
 #include <string>
@@ -227,6 +228,10 @@ public:
     uint64_t Compiles = 0;  ///< modules actually compiled (cache misses)
     uint64_t Hits = 0;      ///< modules served from the content cache
     uint64_t Evictions = 0; ///< modules LRU-evicted (dlclosed when idle)
+
+    /// The counts accumulated since \p Before.
+    CacheStats since(const CacheStats &Before) const;
+    support::Json toJson() const;
   };
 
   using Backend::lower; // keep the single-proc convenience visible
@@ -240,10 +245,9 @@ public:
   ExecStatus execute(LoweredModule &M, const std::string &Entry,
                      BufferSet &Args) override;
 
-  /// Global (process-wide) cache counters; resetCacheStats zeroes them
-  /// for per-phase measurements.
+  /// Global (process-wide) cache counters; a phase measures its own as
+  /// cacheStats().since(Before).
   static CacheStats cacheStats();
-  static void resetCacheStats();
   /// Maximum distinct compiled modules held by the cache (LRU beyond it).
   static void setCacheCapacity(size_t N);
   /// Drops every cached module (modules still referenced by a live

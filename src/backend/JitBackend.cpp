@@ -290,10 +290,20 @@ JitBackend::CacheStats JitBackend::cacheStats() {
   return C.Stats;
 }
 
-void JitBackend::resetCacheStats() {
-  JitCache &C = JitCache::instance();
-  std::lock_guard<std::mutex> Lock(C.Mu);
-  C.Stats = {};
+static const support::CounterField<JitBackend::CacheStats>
+    JitCacheStatFields[] = {
+    {"compiles", &JitBackend::CacheStats::Compiles},
+    {"hits", &JitBackend::CacheStats::Hits},
+    {"evictions", &JitBackend::CacheStats::Evictions},
+};
+
+JitBackend::CacheStats
+JitBackend::CacheStats::since(const CacheStats &Before) const {
+  return support::countersSince(*this, Before, JitCacheStatFields);
+}
+
+support::Json JitBackend::CacheStats::toJson() const {
+  return support::countersJson(*this, JitCacheStatFields);
 }
 
 void JitBackend::clearCache() {

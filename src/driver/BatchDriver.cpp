@@ -6,8 +6,6 @@
 
 #include "driver/BatchDriver.h"
 
-#include "analysis/EffectCache.h"
-#include "smt/QueryCache.h"
 #include "support/ThreadPool.h"
 
 #include <atomic>
@@ -44,10 +42,7 @@ BatchResult BatchDriver::run(const std::vector<CompileJob> &Jobs) const {
   Out.Threads = Threads == 0 ? 1 : Threads;
   Out.Jobs.resize(Jobs.size());
 
-  smt::Solver::Stats Solver0 = smt::solverGlobalStats();
-  smt::TermInternerStats Term0 = smt::termInternerStats();
-  smt::QueryCacheStats Query0 = smt::solverQueryCacheStats();
-  analysis::EffectCacheStats Eff0 = analysis::effectCacheStats();
+  CompilerCounters Before = CompilerCounters::global();
 
   std::unique_ptr<JobTrack[]> Track(new JobTrack[Jobs.size()]);
 
@@ -131,27 +126,57 @@ BatchResult BatchDriver::run(const std::vector<CompileJob> &Jobs) const {
       ++Out.NumDeadlineMiss;
     if (R.Retries > 0)
       ++Out.NumRetried;
-    Out.Cache.IncrementalHits += R.IncrementalHits;
-    Out.Cache.IncrementalMisses += R.IncrementalMisses;
+    Out.IncrementalHits += R.IncrementalHits;
+    Out.IncrementalMisses += R.IncrementalMisses;
   }
-
-  smt::Solver::Stats Solver1 = smt::solverGlobalStats();
-  smt::TermInternerStats Term1 = smt::termInternerStats();
-  smt::QueryCacheStats Query1 = smt::solverQueryCacheStats();
-  analysis::EffectCacheStats Eff1 = analysis::effectCacheStats();
-  Out.Cache.SolverQueries = Solver1.NumQueries - Solver0.NumQueries;
-  Out.Cache.QueryCacheHits = Query1.Hits - Query0.Hits;
-  Out.Cache.QueryCacheMisses = Query1.Misses - Query0.Misses;
-  Out.Cache.QueryCacheCrossJobHits = Query1.CrossJobHits - Query0.CrossJobHits;
-  Out.Cache.EffectCrossCompileHits =
-      Eff1.CrossCompileHits - Eff0.CrossCompileHits;
-  Out.Cache.TermHits = Term1.Hits - Term0.Hits;
-  Out.Cache.TermMisses = Term1.Misses - Term0.Misses;
-  Out.Cache.EffectHits = Eff1.Hits - Eff0.Hits;
-  Out.Cache.EffectMisses = Eff1.Misses - Eff0.Misses;
-  Out.Cache.SimplifyDecided = Solver1.SimplifyDecided - Solver0.SimplifyDecided;
-  Out.Cache.FastPathHits = Solver1.FastPathHits - Solver0.FastPathHits;
-  Out.Cache.FastPathMisses = Solver1.FastPathMisses - Solver0.FastPathMisses;
-  Out.Cache.CooperLiterals = Solver1.NumLiterals - Solver0.NumLiterals;
+  Out.Cache = CompilerCounters::global().since(Before);
   return Out;
+}
+
+static support::Json jobJson(const JobResult &J) {
+  support::Json O = support::Json::object();
+  O.set("name", J.Name)
+      .set("status", J.status())
+      .set("ok", J.Ok)
+      .set("wall_ms", J.WallMillis)
+      .set("retries", J.Retries)
+      .set("retry_probes", J.RetryProbes)
+      .set("retry_path", J.RetryPath)
+      .set("final_max_literals", J.FinalMaxLiterals)
+      .set("deadline_miss", J.DeadlineMiss)
+      .set("output_bytes", J.Output.size())
+      .set("solver", J.Solver.toJson())
+      .set("query_cache", J.QueryCache.toJson())
+      .set("incremental_hits", J.IncrementalHits)
+      .set("incremental_misses", J.IncrementalMisses);
+  // Degraded jobs carry the schedule's failure alongside the reference
+  // output, so report error detail for them too.
+  if (!J.Ok || J.Degraded) {
+    O.set("error_kind", J.ErrorKind).set("error", J.ErrorMessage);
+    if (!J.ErrorOp.empty())
+      O.set("op", J.ErrorOp);
+    if (!J.ErrorPattern.empty())
+      O.set("pattern", J.ErrorPattern);
+    if (!J.ErrorVerdict.empty())
+      O.set("verdict", J.ErrorVerdict);
+  }
+  return O;
+}
+
+support::Json exo::driver::batchJson(const BatchResult &R) {
+  support::Json Jobs = support::Json::array();
+  for (const JobResult &J : R.Jobs)
+    Jobs.push(jobJson(J));
+  return support::Json::object()
+      .set("threads", R.Threads)
+      .set("wall_ms", R.WallMillis)
+      .set("all_ok", R.AllOk)
+      .set("failed", R.NumFailed)
+      .set("degraded", R.NumDegraded)
+      .set("deadline_misses", R.NumDeadlineMiss)
+      .set("retried", R.NumRetried)
+      .set("cache", R.Cache.toJson()
+                        .set("incremental_hits", R.IncrementalHits)
+                        .set("incremental_misses", R.IncrementalMisses))
+      .set("jobs", std::move(Jobs));
 }

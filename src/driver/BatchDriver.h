@@ -7,10 +7,10 @@
 /// \file
 /// Fans a list of CompileJobs across a work-stealing thread pool, one
 /// CompileSession invocation per job, and collects per-job results plus
-/// batch-wide cache-statistics deltas. Job failures are recorded, not
-/// fatal. Because every shared cache returns exactly what a cold
-/// computation would and codegen naming is procedure-local, the produced
-/// C is bit-identical regardless of thread count or interleaving.
+/// the batch-wide delta of the compiler counters. Job failures are
+/// recorded, not fatal. Because every shared cache returns exactly what a
+/// cold computation would and codegen naming is procedure-local, the
+/// produced C is bit-identical regardless of thread count or interleaving.
 ///
 /// When SessionOptions carries a deadline, a watchdog thread supervises
 /// the batch: any job still running past its deadline (plus a grace
@@ -26,41 +26,10 @@
 #define EXO_DRIVER_BATCHDRIVER_H
 
 #include "driver/CompileSession.h"
+#include "driver/CompilerCounters.h"
 
 namespace exo {
 namespace driver {
-
-/// Cache/solver activity over one batch (after-minus-before deltas of the
-/// process-wide counters; meaningful when no other threads compile
-/// concurrently with the batch).
-struct BatchCacheStats {
-  uint64_t SolverQueries = 0;
-  uint64_t QueryCacheHits = 0;
-  uint64_t QueryCacheMisses = 0;
-  /// Query-cache hits served from entries a *different* compile job
-  /// inserted (batch siblings or earlier compiles in this process) —
-  /// the cross-compile amortization the VarId-canonical keys enable.
-  uint64_t QueryCacheCrossJobHits = 0;
-  /// Effect-summary cache hits rehydrated from another compile's
-  /// canonically-equal statement (see analysis::EffectCacheStats).
-  uint64_t EffectCrossCompileHits = 0;
-  uint64_t TermHits = 0;
-  uint64_t TermMisses = 0;
-  uint64_t EffectHits = 0;
-  uint64_t EffectMisses = 0;
-  /// Preprocessing activity (DESIGN.md, "Solver preprocessing"):
-  /// queries decided before Cooper, disjointness checks answered by the
-  /// effect fast path (and ones that fell back), and the total Cooper
-  /// literal consumption over the batch.
-  uint64_t SimplifyDecided = 0;
-  uint64_t FastPathHits = 0;
-  uint64_t FastPathMisses = 0;
-  uint64_t CooperLiterals = 0;
-  /// Incremental re-analysis activity, summed over the per-job
-  /// EffectSnapshots (DESIGN.md, "Incremental analysis").
-  uint64_t IncrementalHits = 0;
-  uint64_t IncrementalMisses = 0;
-};
 
 struct BatchResult {
   std::vector<JobResult> Jobs; ///< in input order
@@ -71,7 +40,16 @@ struct BatchResult {
   unsigned NumDegraded = 0;   ///< jobs emitted from the reference fallback
   unsigned NumDeadlineMiss = 0;
   unsigned NumRetried = 0;    ///< jobs that needed at least one retry
-  BatchCacheStats Cache;
+  /// Compiler counters over the batch (meaningful when no other threads
+  /// compile concurrently with it). The query cache's CrossJobHits are
+  /// verdicts one job reused from another (batch siblings or earlier
+  /// compiles in this process); the effect cache's CrossCompileHits are
+  /// summaries rehydrated from another compile's equal statement.
+  CompilerCounters Cache;
+  /// Incremental re-analysis activity, summed over the per-job
+  /// EffectSnapshots (DESIGN.md, "Incremental analysis").
+  uint64_t IncrementalHits = 0;
+  uint64_t IncrementalMisses = 0;
 };
 
 /// Runs batches with a fixed worker count. Threads <= 1 runs inline on
@@ -87,6 +65,10 @@ private:
   unsigned Threads;
   SessionOptions SOpts;
 };
+
+/// The exocc-batch --json report of \p R: batch totals, the "cache"
+/// counters, and one object per job (README.md, "exocc-batch").
+support::Json batchJson(const BatchResult &R);
 
 } // namespace driver
 } // namespace exo

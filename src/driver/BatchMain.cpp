@@ -41,9 +41,6 @@
 #include "testing/ProgramGen.h"
 #include "testing/ScheduleGen.h"
 
-#include "analysis/EffectCache.h"
-#include "smt/QueryCache.h"
-
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -58,35 +55,6 @@ void clearAllCaches() {
   smt::clearTermInterner();
   smt::clearSolverQueryCache();
   analysis::clearEffectCache();
-}
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
 }
 
 /// --fuzz N: replace the kernel suite with N randomly generated,
@@ -119,74 +87,10 @@ std::vector<CompileJob> fuzzJobs(uint64_t Seed, unsigned N) {
   return Jobs;
 }
 
-const char *jobStatus(const JobResult &J) {
-  if (!J.Ok)
-    return "failed";
-  return J.Degraded ? "degraded" : "ok";
-}
-
-void writeJson(const std::string &Path, const BatchResult &R) {
-  std::ofstream Out(Path);
-  Out << "{\n  \"threads\": " << R.Threads
-      << ",\n  \"wall_ms\": " << R.WallMillis
-      << ",\n  \"all_ok\": " << (R.AllOk ? "true" : "false")
-      << ",\n  \"failed\": " << R.NumFailed
-      << ",\n  \"degraded\": " << R.NumDegraded
-      << ",\n  \"deadline_misses\": " << R.NumDeadlineMiss
-      << ",\n  \"retried\": " << R.NumRetried
-      << ",\n  \"cache\": {\"solver_queries\": " << R.Cache.SolverQueries
-      << ", \"query_cache_hits\": " << R.Cache.QueryCacheHits
-      << ", \"query_cache_misses\": " << R.Cache.QueryCacheMisses
-      << ", \"query_cache_cross_job_hits\": " << R.Cache.QueryCacheCrossJobHits
-      << ", \"effect_cross_compile_hits\": " << R.Cache.EffectCrossCompileHits
-      << ", \"term_hits\": " << R.Cache.TermHits
-      << ", \"effect_hits\": " << R.Cache.EffectHits
-      << ", \"simplify_decided\": " << R.Cache.SimplifyDecided
-      << ", \"fastpath_hits\": " << R.Cache.FastPathHits
-      << ", \"fastpath_misses\": " << R.Cache.FastPathMisses
-      << ", \"cooper_literals\": " << R.Cache.CooperLiterals
-      << ", \"incremental_hits\": " << R.Cache.IncrementalHits
-      << ", \"incremental_misses\": " << R.Cache.IncrementalMisses
-      << "},\n  \"jobs\": [";
-  bool First = true;
-  for (const JobResult &J : R.Jobs) {
-    Out << (First ? "\n" : ",\n") << "    {\"name\": \"" << jsonEscape(J.Name)
-        << "\", \"status\": \"" << jobStatus(J)
-        << "\", \"ok\": " << (J.Ok ? "true" : "false")
-        << ", \"wall_ms\": " << J.WallMillis
-        << ", \"retries\": " << J.Retries
-        << ", \"retry_probes\": " << J.RetryProbes
-        << ", \"retry_path\": \"" << jsonEscape(J.RetryPath) << "\""
-        << ", \"final_max_literals\": " << J.FinalMaxLiterals
-        << ", \"deadline_miss\": " << (J.DeadlineMiss ? "true" : "false")
-        << ", \"output_bytes\": " << J.Output.size()
-        << ", \"solver_queries\": " << J.SolverQueries
-        << ", \"simplify_decided\": " << J.SimplifyDecided
-        << ", \"fastpath_hits\": " << J.FastPathHits
-        << ", \"incremental_hits\": " << J.IncrementalHits
-        << ", \"incremental_misses\": " << J.IncrementalMisses;
-    // Degraded jobs carry the schedule's failure alongside the reference
-    // output, so report error detail for them too.
-    if (!J.Ok || J.Degraded) {
-      Out << ", \"error_kind\": \"" << jsonEscape(J.ErrorKind)
-          << "\", \"error\": \"" << jsonEscape(J.ErrorMessage) << "\"";
-      if (!J.ErrorOp.empty())
-        Out << ", \"op\": \"" << jsonEscape(J.ErrorOp) << "\"";
-      if (!J.ErrorPattern.empty())
-        Out << ", \"pattern\": \"" << jsonEscape(J.ErrorPattern) << "\"";
-      if (!J.ErrorVerdict.empty())
-        Out << ", \"verdict\": \"" << jsonEscape(J.ErrorVerdict) << "\"";
-    }
-    Out << "}";
-    First = false;
-  }
-  Out << "\n  ]\n}\n";
-}
-
 void printResult(const BatchResult &R) {
   for (const JobResult &J : R.Jobs) {
     if (J.Ok) {
-      std::printf("  %-4s %-22s %8.1f ms  %6zu bytes of C", jobStatus(J),
+      std::printf("  %-4s %-22s %8.1f ms  %6zu bytes of C", J.status(),
                   J.Name.c_str(), J.WallMillis, J.Output.size());
       if (J.Retries > 0)
         std::printf("  (retries=%u%s%s)", J.Retries,
@@ -211,17 +115,17 @@ void printResult(const BatchResult &R) {
   std::printf("batch: %zu jobs on %u thread%s in %.1f ms (solver queries: "
               "%llu, query-cache hits: %llu)\n",
               R.Jobs.size(), R.Threads, R.Threads == 1 ? "" : "s",
-              R.WallMillis, (unsigned long long)R.Cache.SolverQueries,
-              (unsigned long long)R.Cache.QueryCacheHits);
+              R.WallMillis, (unsigned long long)R.Cache.Solver.NumQueries,
+              (unsigned long long)R.Cache.QueryCache.Hits);
   std::printf("       preprocessing: %llu decided, fast path %llu hit / "
               "%llu miss, %llu Cooper literals\n",
-              (unsigned long long)R.Cache.SimplifyDecided,
-              (unsigned long long)R.Cache.FastPathHits,
-              (unsigned long long)R.Cache.FastPathMisses,
-              (unsigned long long)R.Cache.CooperLiterals);
+              (unsigned long long)R.Cache.Solver.SimplifyDecided,
+              (unsigned long long)R.Cache.Solver.FastPathHits,
+              (unsigned long long)R.Cache.Solver.FastPathMisses,
+              (unsigned long long)R.Cache.Solver.NumLiterals);
   std::printf("       incremental re-analysis: %llu hits / %llu misses\n",
-              (unsigned long long)R.Cache.IncrementalHits,
-              (unsigned long long)R.Cache.IncrementalMisses);
+              (unsigned long long)R.IncrementalHits,
+              (unsigned long long)R.IncrementalMisses);
   if (R.NumFailed || R.NumDegraded || R.NumDeadlineMiss || R.NumRetried)
     std::printf("       %u failed, %u degraded, %u deadline miss%s, "
                 "%u retried\n",
@@ -342,7 +246,7 @@ int main(int Argc, char **Argv) {
   printResult(Parallel);
 
   if (!JsonPath.empty())
-    writeJson(JsonPath, Parallel);
+    std::ofstream(JsonPath) << batchJson(Parallel).dump() << "\n";
 
   if (SerialCheck) {
     for (size_t I = 0; I < Jobs.size(); ++I) {

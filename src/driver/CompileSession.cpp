@@ -8,7 +8,6 @@
 
 #include "analysis/EffectSnapshot.h"
 #include "backend/Backend.h"
-#include "smt/QueryCache.h"
 #include "support/Deadline.h"
 
 #include <chrono>
@@ -160,14 +159,8 @@ JobResult CompileSession::run(const CompileJob &Job) const {
       ++R.Retries;
       smt::clearLastBudgetUnknownQuery();
     }
-    smt::Solver::Stats After = smt::solverThreadStats();
-    R.SolverQueries = After.NumQueries - Before.NumQueries;
-    R.SimplifyDecided = After.SimplifyDecided - Before.SimplifyDecided;
-    R.FastPathHits = After.FastPathHits - Before.FastPathHits;
-    smt::QueryCacheStats QCAfter = smt::queryCacheThreadStats();
-    R.QueryCacheHits = QCAfter.Hits - QCBefore.Hits;
-    R.QueryCacheMisses = QCAfter.Misses - QCBefore.Misses;
-    R.QueryCacheCrossJobHits = QCAfter.CrossJobHits - QCBefore.CrossJobHits;
+    R.Solver = smt::solverThreadStats().since(Before);
+    R.QueryCache = smt::queryCacheThreadStats().since(QCBefore);
     analysis::EffectSnapshotStats SS = Snapshot.stats();
     R.IncrementalHits = SS.Hits;
     R.IncrementalMisses = SS.Misses;

@@ -34,6 +34,7 @@
 #define EXO_DRIVER_COMPILESESSION_H
 
 #include "ir/Proc.h"
+#include "smt/QueryCache.h"
 #include "smt/Solver.h"
 #include "support/Error.h"
 
@@ -128,20 +129,12 @@ struct JobResult {
   unsigned RetryProbes = 0;
   std::string RetryPath;
 
-  /// Per-job solver activity (exact deltas of the worker thread's
-  /// counters — a job runs entirely on one thread): total queries, how
-  /// many the preprocessing pipeline decided before Cooper, and how many
-  /// disjointness checks the effect fast path answered without a query.
-  uint64_t SolverQueries = 0;
-  uint64_t SimplifyDecided = 0;
-  uint64_t FastPathHits = 0;
-
-  /// Per-job query-cache activity (thread-exact deltas). CrossJobHits is
-  /// the subset of hits served from entries another compile inserted —
-  /// the cross-compile amortization the VarId-canonical keys exist for.
-  uint64_t QueryCacheHits = 0;
-  uint64_t QueryCacheMisses = 0;
-  uint64_t QueryCacheCrossJobHits = 0;
+  /// Per-job solver and query-cache activity: exact deltas of the worker
+  /// thread's counters (a job runs entirely on one thread). The query
+  /// cache's CrossJobHits counts hits served from entries another compile
+  /// inserted; its Size gauge is not tracked per thread and stays 0.
+  smt::Solver::Stats Solver;
+  smt::QueryCacheStats QueryCache;
 
   /// Incremental re-analysis activity of the job's EffectSnapshot (zero
   /// when SessionOptions::UseEffectSnapshot is off): subtree summaries
@@ -166,6 +159,11 @@ struct JobResult {
   std::string ErrorPattern; ///< cursor pattern text, when known
   std::string ErrorLoc;     ///< matched location, when known
   std::string ErrorVerdict; ///< solver verdict, when a solver was involved
+
+  /// "ok", "degraded" or "failed".
+  const char *status() const {
+    return !Ok ? "failed" : Degraded ? "degraded" : "ok";
+  }
 };
 
 /// Runs jobs one at a time under the given options. Stateless apart from

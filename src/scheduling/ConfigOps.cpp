@@ -40,9 +40,9 @@ struct ConfigInsertion {
                   const std::set<Sym> &SelfReads) {
     const ConfigDecl::Field *F = Cfg->findField(Field);
     if (!F) {
-      Err = makeError(Error::Kind::Scheduling,
-                      "config '" + Cfg->name().name() + "' has no field '" +
-                          Field + "'");
+      Err = opError(Error::Kind::Scheduling,
+                    "config '" + Cfg->name().name() + "' has no field '" +
+                        Field + "'");
       return;
     }
     CfgSym = Cfg->name();
@@ -63,10 +63,10 @@ struct ConfigInsertion {
     // later iterations of enclosing loops).
     const ContextInfo &Info = Op.info();
     if (Info.PostReadFields.count(FieldSym) || SelfReads.count(FieldSym)) {
-      Err = makeError(Error::Kind::Safety,
-                      "config field '" + Field +
-                          "' is read after the inserted write; the rewrite "
-                          "would not be equivalent modulo the field");
+      Err = opError(Error::Kind::Safety,
+                    "config field '" + Field +
+                        "' is read after the inserted write; the rewrite "
+                        "would not be equivalent modulo the field");
       return;
     }
   }
@@ -124,9 +124,9 @@ Expected<ProcRef> exo::scheduling::bindConfig(const Cursor &Stmt,
   StmtRef S = Op.stmt();
   const ConfigDecl::Field *F = Cfg->findField(Field);
   if (!F)
-    return makeError(Error::Kind::Scheduling,
-                     "config '" + Cfg->name().name() + "' has no field '" +
-                         Field + "'");
+    return opError(Error::Kind::Scheduling,
+                   "config '" + Cfg->name().name() + "' has no field '" +
+                       Field + "'");
 
   auto Squeeze = [](const std::string &In) {
     std::string Out;
@@ -157,17 +157,17 @@ Expected<ProcRef> exo::scheduling::bindConfig(const Cursor &Stmt,
     Search(S->hi());
   }
   if (!Found)
-    return makeError(Error::Kind::Pattern,
-                     "bind_config: no control subexpression matches '" +
-                         ExprPat + "'");
+    return opError(Error::Kind::Pattern,
+                   "bind_config: no control subexpression matches '" +
+                       ExprPat + "'");
 
   // Context condition (§6.2) — same as inserting a write before s, except
   // the selected statement now deliberately reads the field.
   const ContextInfo &Info = Op.info();
   if (Info.PostReadFields.count(F->Name))
-    return makeError(Error::Kind::Safety,
-                     "config field '" + Field +
-                         "' is read after the statement");
+    return opError(Error::Kind::Safety,
+                   "config field '" + Field +
+                       "' is read after the statement");
 
   ExprRef NewRead = Expr::readConfig(Cfg->name(), F->Name, F->Ty);
   std::function<ExprRef(const ExprRef &)> Rewrite =
@@ -211,8 +211,8 @@ Expected<ProcRef> exo::scheduling::bindConfig(const Cursor &Stmt,
     break;
   }
   default:
-    return makeError(Error::Kind::Scheduling,
-                     "bind_config: unsupported statement kind");
+    return opError(Error::Kind::Scheduling,
+                   "bind_config: unsupported statement kind");
   }
 
   StmtRef Write = Stmt::writeConfig(Cfg->name(), F->Name, Found);

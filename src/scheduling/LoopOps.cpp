@@ -38,15 +38,15 @@ Expected<ProcRef> exo::scheduling::splitLoop(const Cursor &LoopC,
                                              SplitTail Tail) {
   ScopedOpName OpName("split");
   if (Factor <= 1)
-    return makeError(Error::Kind::Scheduling, "split factor must be > 1");
+    return opError(Error::Kind::Scheduling, "split factor must be > 1");
   auto C = targetOfKind(LoopC, StmtKind::For, "a loop");
   if (!C)
     return C.error();
   OpContext Op(LoopC.proc(), *C);
   StmtRef Loop = Op.stmt();
   if (Loop->lo()->kind() != ExprKind::Const || Loop->lo()->intValue() != 0)
-    return makeError(Error::Kind::Scheduling,
-                     "split requires a loop starting at 0");
+    return opError(Error::Kind::Scheduling,
+                   "split requires a loop starting at 0");
   ExprRef Hi = Loop->hi();
 
   Sym Outer = Sym::fresh(OuterName);
@@ -126,8 +126,8 @@ Expected<ProcRef> exo::scheduling::reorderLoops(const Cursor &Loop) {
   StmtRef OuterLoop = Op.stmt();
   if (OuterLoop->body().size() != 1 ||
       OuterLoop->body()[0]->kind() != StmtKind::For)
-    return makeError(Error::Kind::Scheduling,
-                     "reorder: loop body must be exactly one nested loop");
+    return opError(Error::Kind::Scheduling,
+                   "reorder: loop body must be exactly one nested loop");
   StmtRef InnerLoop = OuterLoop->body()[0];
 
   // Inner bounds must not depend on the outer iterator (otherwise the
@@ -135,8 +135,8 @@ Expected<ProcRef> exo::scheduling::reorderLoops(const Cursor &Loop) {
   std::set<Sym> BoundVars = freeVars(InnerLoop->lo());
   std::set<Sym> HiVars = freeVars(InnerLoop->hi());
   if (BoundVars.count(OuterLoop->name()) || HiVars.count(OuterLoop->name()))
-    return makeError(Error::Kind::Scheduling,
-                     "reorder: inner bounds depend on the outer iterator");
+    return opError(Error::Kind::Scheduling,
+                   "reorder: inner bounds depend on the outer iterator");
 
   // §5.8 condition: any flipped iteration pair must commute.
   AnalysisCtx &Ctx = Op.Ctx;
@@ -202,12 +202,12 @@ Expected<ProcRef> exo::scheduling::unrollLoop(const Cursor &LoopC) {
   ExprRef Lo = simplifyExpr(Loop->lo());
   ExprRef Hi = simplifyExpr(Loop->hi());
   if (Lo->kind() != ExprKind::Const || Hi->kind() != ExprKind::Const)
-    return makeError(Error::Kind::Scheduling,
-                     "unroll requires constant loop bounds");
+    return opError(Error::Kind::Scheduling,
+                   "unroll requires constant loop bounds");
   int64_t LoV = Lo->intValue(), HiV = Hi->intValue();
   if (HiV - LoV > 1024)
-    return makeError(Error::Kind::Scheduling,
-                     "unroll would create more than 1024 copies");
+    return opError(Error::Kind::Scheduling,
+                   "unroll would create more than 1024 copies");
   std::vector<StmtRef> Replacement;
   for (int64_t I = LoV; I < HiV; ++I) {
     SymSubst Map;
@@ -262,8 +262,8 @@ Expected<ProcRef> exo::scheduling::removeLoop(const Cursor &LoopC) {
   OpContext Op(LoopC.proc(), *C);
   StmtRef Loop = Op.stmt();
   if (freeVars(Loop->body()).count(Loop->name()))
-    return makeError(Error::Kind::Scheduling,
-                     "remove_loop: iterator occurs free in the body");
+    return opError(Error::Kind::Scheduling,
+                   "remove_loop: iterator occurs free in the body");
 
   AnalysisCtx &Ctx = Op.Ctx;
   const ContextInfo &Info = Op.info();
@@ -301,8 +301,8 @@ Expected<ProcRef> exo::scheduling::fuseLoops(const Cursor &Loop) {
   const Block &B = blockAt(*P, *C);
   if (C->Begin + 1 >= B.size() ||
       B[C->Begin + 1]->kind() != StmtKind::For)
-    return makeError(Error::Kind::Scheduling,
-                     "fuse_loop: no adjacent loop after the match");
+    return opError(Error::Kind::Scheduling,
+                   "fuse_loop: no adjacent loop after the match");
   StmtRef L1 = B[C->Begin];
   StmtRef L2 = B[C->Begin + 1];
 
@@ -363,8 +363,8 @@ Expected<ProcRef> exo::scheduling::liftIf(const Cursor &IfC) {
     return C.error();
   const ProcRef &P = IfC.proc();
   if (C->Path.empty())
-    return makeError(Error::Kind::Scheduling,
-                     "lift_if: the if has no enclosing statement");
+    return opError(Error::Kind::Scheduling,
+                   "lift_if: the if has no enclosing statement");
   StmtRef If = selectedStmts(*P, *C)[0];
 
   // The parent must be a loop whose body is exactly this if.
@@ -374,11 +374,11 @@ Expected<ProcRef> exo::scheduling::liftIf(const Cursor &IfC) {
   ParentCur.End = ParentCur.Begin + 1;
   StmtRef Parent = selectedStmts(*P, ParentCur)[0];
   if (Parent->kind() != StmtKind::For || Parent->body().size() != 1)
-    return makeError(Error::Kind::Scheduling,
-                     "lift_if: parent must be a loop containing only the if");
+    return opError(Error::Kind::Scheduling,
+                   "lift_if: parent must be a loop containing only the if");
   if (freeVars(If->rhs()).count(Parent->name()))
-    return makeError(Error::Kind::Scheduling,
-                     "lift_if: condition depends on the loop iterator");
+    return opError(Error::Kind::Scheduling,
+                   "lift_if: condition depends on the loop iterator");
 
   StmtRef ThenLoop =
       Stmt::forStmt(Parent->name(), Parent->lo(), Parent->hi(), If->body());

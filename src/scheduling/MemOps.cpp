@@ -49,7 +49,7 @@ public:
 private:
   void fail(const std::string &Msg) {
     if (!Err)
-      Err = makeError(Error::Kind::Safety, "stage_mem: " + Msg);
+      Err = opError(Error::Kind::Safety, "stage_mem: " + Msg);
   }
 
   /// A failed containment proof: record the solver's verdict so callers
@@ -264,8 +264,8 @@ Expected<ProcRef> exo::scheduling::stageMem(const Cursor &Stmts,
     for (auto &D : (*W)->type().dims())
       Coords.push_back({true, litInt(0), D});
   } else {
-    return makeError(Error::Kind::Scheduling,
-                     "stage_mem: '" + WindowSrc + "' is not a window");
+    return opError(Error::Kind::Scheduling,
+                   "stage_mem: '" + WindowSrc + "' is not a window");
   }
 
   // Stage dimensions: extents of the interval coordinates.
@@ -274,8 +274,8 @@ Expected<ProcRef> exo::scheduling::stageMem(const Cursor &Stmts,
     if (Cd.IsInterval)
       Dims.push_back(simplifyExpr(eSub(Cd.Hi, Cd.Lo)));
   if (Dims.empty())
-    return makeError(Error::Kind::Scheduling,
-                     "stage_mem: window must keep at least one interval");
+    return opError(Error::Kind::Scheduling,
+                   "stage_mem: window must keep at least one interval");
 
   Sym Stage = Sym::fresh(NewName);
   StageRewriter RW(Op.Ctx, Op.info(), Buf, Coords, Stage);
@@ -287,13 +287,13 @@ Expected<ProcRef> exo::scheduling::stageMem(const Cursor &Stmts,
   if (RW.Err)
     return *RW.Err;
   if (!RW.Summary.Reads && !RW.Summary.Assigns && !RW.Summary.Reduces)
-    return makeError(Error::Kind::Scheduling,
-                     "stage_mem: selection never accesses '" +
-                         Buf.name() + "'");
+    return opError(Error::Kind::Scheduling,
+                   "stage_mem: selection never accesses '" +
+                       Buf.name() + "'");
   if (RW.Summary.Reduces && (RW.Summary.Reads || RW.Summary.Assigns))
-    return makeError(Error::Kind::Scheduling,
-                     "stage_mem: mixing reductions with reads/writes of the "
-                     "staged buffer is not supported");
+    return opError(Error::Kind::Scheduling,
+                   "stage_mem: mixing reductions with reads/writes of the "
+                   "staged buffer is not supported");
 
   bool ReduceOnly = RW.Summary.Reduces;
   // Reduce-only staging zero-initializes the stage; otherwise the window
@@ -418,8 +418,8 @@ namespace {
 Expected<ProcRef> retypeBuffer(const ProcRef &P, Sym Target,
                                ScalarKind Precision) {
   if (!isDataScalar(Precision))
-    return makeError(Error::Kind::Scheduling,
-                     "set_precision: not a data precision");
+    return opError(Error::Kind::Scheduling,
+                   "set_precision: not a data precision");
   auto Q = P->clone();
   std::vector<FnArg> Args = P->args();
   for (auto &A : Args)

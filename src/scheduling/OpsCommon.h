@@ -95,6 +95,18 @@ private:
   const char *Prev;
 };
 
+/// A failure of the operator running on this thread: kind and message as
+/// given, with currentOpName() recorded as its ScheduleErrorInfo::Op (a
+/// plain error outside any operator).
+inline Error opError(Error::Kind K, std::string Msg) {
+  const char *Op = currentOpName();
+  if (!*Op)
+    return makeError(K, std::move(Msg));
+  ScheduleErrorInfo Info;
+  Info.Op = Op;
+  return makeScheduleError(K, std::move(Msg), std::move(Info));
+}
+
 /// Recursively simplifies index arithmetic (constant folding, neutral
 /// elements) — shared by simplify() and the ops that synthesize indices.
 ir::ExprRef simplifyExpr(const ir::ExprRef &E);

@@ -79,10 +79,10 @@ ProcRef exo::scheduling::deriveProc(const ProcRef &Old, Block NewBody,
 
 Expected<StmtCursor> exo::scheduling::targetOf(const Cursor &C) {
   if (C.null())
-    return makeError(Error::Kind::Scheduling, "operation on a null cursor");
+    return opError(Error::Kind::Scheduling, "operation on a null cursor");
   if (C.isGap())
-    return makeError(Error::Kind::Scheduling,
-                     "a gap cursor selects no statement");
+    return opError(Error::Kind::Scheduling,
+                   "a gap cursor selects no statement");
   StmtCursor One = C.raw();
   One.End = One.Begin + 1;
   return One;
@@ -93,8 +93,8 @@ Expected<StmtCursor> exo::scheduling::targetOfKind(const Cursor &C,
                                                    const char *What) {
   auto T = targetOf(C);
   if (T && selectedStmts(*C.proc(), *T)[0]->kind() != K)
-    return makeError(Error::Kind::Pattern,
-                     "cursor " + C.str() + " did not select " + What);
+    return opError(Error::Kind::Pattern,
+                   "cursor " + C.str() + " did not select " + What);
   return T;
 }
 
@@ -111,9 +111,9 @@ Expected<Cursor> exo::scheduling::findOneOfKind(const ProcRef &P,
                                                 const char *What) {
   auto C = Cursor::find(P, Pattern);
   if (C && C->stmts()[0]->kind() != K)
-    return makeError(Error::Kind::Pattern, std::string("pattern '") +
-                                               Pattern + "' did not select " +
-                                               What);
+    return opError(Error::Kind::Pattern, std::string("pattern '") +
+                                             Pattern + "' did not select " +
+                                             What);
   return C;
 }
 
@@ -602,13 +602,13 @@ Expected<ProcRef> exo::scheduling::callEqv(const Cursor &CallC,
   const ProcRef &Old = Call->proc();
   auto Delta = equivalenceDelta(Old, NewCallee);
   if (!Delta)
-    return makeError(Error::Kind::Scheduling,
-                     "call_eqv: '" + NewCallee->name() +
-                         "' is not provenance-equivalent to '" + Old->name() +
-                         "'");
+    return opError(Error::Kind::Scheduling,
+                   "call_eqv: '" + NewCallee->name() +
+                       "' is not provenance-equivalent to '" + Old->name() +
+                       "'");
   if (Old->args().size() != NewCallee->args().size())
-    return makeError(Error::Kind::Scheduling,
-                     "call_eqv: callee signatures differ");
+    return opError(Error::Kind::Scheduling,
+                   "call_eqv: callee signatures differ");
 
   if (!Delta->empty()) {
     // Context extension (§6.2): fields the two callees may disagree on
@@ -617,9 +617,9 @@ Expected<ProcRef> exo::scheduling::callEqv(const Cursor &CallC,
     ContextInfo Info = computeContext(Ctx, *P, *C);
     for (Sym F : *Delta)
       if (Info.PostReadFields.count(F))
-        return makeError(Error::Kind::Safety,
-                         "call_eqv: configuration field '" + F.name() +
-                             "' is read after the call site");
+        return opError(Error::Kind::Safety,
+                       "call_eqv: configuration field '" + F.name() +
+                           "' is read after the call site");
   }
 
   StmtRef NewCall = Stmt::call(NewCallee, Call->args());

@@ -25,16 +25,16 @@ namespace {
 Expected<ProcRef> swapAdjacent(const ProcRef &P, const StmtCursor &C) {
   const Block &B = blockAt(*P, C);
   if (C.Begin + 1 >= B.size())
-    return makeError(Error::Kind::Scheduling,
-                     "reorder_stmts: no statement after the match");
+    return opError(Error::Kind::Scheduling,
+                   "reorder_stmts: no statement after the match");
   StmtRef S1 = B[C.Begin], S2 = B[C.Begin + 1];
 
   // Binders of s1 must not be used by s2 (scope would break).
   if (S1->kind() == StmtKind::Alloc || S1->kind() == StmtKind::WindowStmt)
     if (freeVars(S2).count(S1->name()))
-      return makeError(Error::Kind::Scheduling,
-                       "reorder_stmts: the second statement uses a binding "
-                       "of the first");
+      return opError(Error::Kind::Scheduling,
+                     "reorder_stmts: the second statement uses a binding "
+                     "of the first");
 
   StmtCursor Two = C;
   Two.End = C.Begin + 2;
@@ -66,8 +66,8 @@ Expected<ProcRef> exo::scheduling::moveStmtUp(const Cursor &Stmt) {
   if (!C)
     return C.error();
   if (C->Begin == 0)
-    return makeError(Error::Kind::Scheduling,
-                     "move_stmt_up: no predecessor to swap with");
+    return opError(Error::Kind::Scheduling,
+                   "move_stmt_up: no predecessor to swap with");
   StmtCursor Prev = *C;
   --Prev.Begin;
   --Prev.End;
@@ -75,6 +75,7 @@ Expected<ProcRef> exo::scheduling::moveStmtUp(const Cursor &Stmt) {
 }
 
 Expected<ProcRef> exo::scheduling::hoistStmtToTop(const Cursor &Stmt) {
+  ScopedOpName Op("hoist_to_top");
   auto T = targetOf(Stmt);
   if (!T)
     return T.error();
@@ -106,8 +107,8 @@ Expected<ProcRef> exo::scheduling::hoistStmtToTop(const Cursor &Stmt) {
     ParentCur.End = ParentCur.Begin + 1;
     StmtRef Parent = selectedStmts(*Cur, ParentCur)[0];
     if (Parent->kind() != StmtKind::For)
-      return makeError(Error::Kind::Scheduling,
-                       "hoist: cannot hoist out of a conditional");
+      return opError(Error::Kind::Scheduling,
+                     "hoist: cannot hoist out of a conditional");
     if (Parent->body().size() > 1)
       if (auto E = Step(fissionAfter(Cursor::fromStmtCursor(Cur, C))))
         return *E;
@@ -124,8 +125,8 @@ Expected<ProcRef> exo::scheduling::fissionAfter(const Cursor &Stmt) {
   if (!C)
     return C.error();
   if (C->Path.empty())
-    return makeError(Error::Kind::Scheduling,
-                     "fission_after: statement is not inside a loop");
+    return opError(Error::Kind::Scheduling,
+                   "fission_after: statement is not inside a loop");
   // The parent must be a For.
   StmtCursor ParentCur;
   ParentCur.Path.assign(C->Path.begin(), C->Path.end() - 1);
@@ -134,24 +135,24 @@ Expected<ProcRef> exo::scheduling::fissionAfter(const Cursor &Stmt) {
   OpContext Op(Stmt.proc(), ParentCur);
   StmtRef Loop = Op.stmt();
   if (Loop->kind() != StmtKind::For)
-    return makeError(Error::Kind::Scheduling,
-                     "fission_after: enclosing statement is not a loop");
+    return opError(Error::Kind::Scheduling,
+                   "fission_after: enclosing statement is not a loop");
 
   const Block &Body = Loop->body();
   unsigned Split = C->Begin + 1;
   if (Split >= Body.size())
-    return makeError(Error::Kind::Scheduling,
-                     "fission_after: nothing after the statement to split "
-                     "off");
+    return opError(Error::Kind::Scheduling,
+                   "fission_after: nothing after the statement to split "
+                   "off");
   Block B1(Body.begin(), Body.begin() + Split);
   Block B2(Body.begin() + Split, Body.end());
 
   // Scope: bindings made in the first half must not be used in the second.
   for (Sym S : boundVars(B1))
     if (freeVars(B2).count(S))
-      return makeError(Error::Kind::Scheduling,
-                       "fission_after: the second half uses '" + S.name() +
-                           "' bound in the first half");
+      return opError(Error::Kind::Scheduling,
+                     "fission_after: the second half uses '" + S.name() +
+                         "' bound in the first half");
 
   // §5.8: B1 at iteration x moves before B2 at iteration x' for x' < x.
   AnalysisCtx &Ctx = Op.Ctx;
@@ -201,8 +202,8 @@ Expected<ProcRef> exo::scheduling::liftAlloc(const Cursor &AllocC,
   StmtCursor C = *T;
   for (unsigned L = 0; L < Levels; ++L) {
     if (C.Path.empty())
-      return makeError(Error::Kind::Scheduling,
-                       "lift_alloc: allocation is already at the top level");
+      return opError(Error::Kind::Scheduling,
+                     "lift_alloc: allocation is already at the top level");
     StmtRef Alloc = selectedStmts(*Cur, C)[0];
     // The allocation's dimension expressions must not use the binders we
     // are lifting past (e.g. the loop iterator).
@@ -218,9 +219,9 @@ Expected<ProcRef> exo::scheduling::liftAlloc(const Cursor &AllocC,
         Used.insert(F.begin(), F.end());
       }
       if (Used.count(Parent->name()))
-        return makeError(Error::Kind::Scheduling,
-                         "lift_alloc: buffer size depends on the loop "
-                         "iterator");
+        return opError(Error::Kind::Scheduling,
+                       "lift_alloc: buffer size depends on the loop "
+                       "iterator");
     }
     // Remove the alloc from its block and reinsert before the (rebuilt)
     // parent statement; the path above the parent is unchanged, so the
@@ -250,9 +251,9 @@ Expected<ProcRef> exo::scheduling::bindExpr(const Cursor &Stmt,
   OpContext Op(Stmt.proc(), *C);
   StmtRef S = Op.stmt();
   if (S->kind() != StmtKind::Assign && S->kind() != StmtKind::Reduce)
-    return makeError(Error::Kind::Scheduling,
-                     "bind_expr: statement must be an assignment or "
-                     "reduction");
+    return opError(Error::Kind::Scheduling,
+                   "bind_expr: statement must be an assignment or "
+                   "reduction");
 
   auto Squeeze = [](const std::string &In) {
     std::string Out;
@@ -277,9 +278,9 @@ Expected<ProcRef> exo::scheduling::bindExpr(const Cursor &Stmt,
   };
   Search(S->rhs());
   if (!Found)
-    return makeError(Error::Kind::Pattern,
-                     "bind_expr: no data subexpression matches '" + ExprPat +
-                         "'");
+    return opError(Error::Kind::Pattern,
+                   "bind_expr: no data subexpression matches '" + ExprPat +
+                       "'");
 
   Sym NewSym = Sym::fresh(NewName);
   ScalarKind Elem = Found->type().elem();

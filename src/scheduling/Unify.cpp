@@ -457,14 +457,14 @@ private:
       } else if (auto Str = Ctx.strideFor(Var)) {
         Known = Expr::stride(Str->first, Str->second);
       } else {
-        return makeError(Error::Kind::Unification,
-                         "solution references an internal variable");
+        return opError(Error::Kind::Unification,
+                       "solution references an internal variable");
       }
       if (Known->kind() == ExprKind::Read &&
           InnerBound.count(Known->name()))
-        return makeError(Error::Kind::Unification,
-                         "solution references '" + Known->name().name() +
-                             "' bound inside the selection");
+        return opError(Error::Kind::Unification,
+                       "solution references '" + Known->name().name() +
+                           "' bound inside the selection");
       ExprRef TermE = C == 1 ? Known : eMul(litInt(C), Known);
       Out = eAdd(Out, TermE);
     }
@@ -512,9 +512,9 @@ public:
       }
       auto It = St.Buffers.find(A.Name);
       if (It == St.Buffers.end())
-        return makeError(Error::Kind::Unification,
-                         "buffer argument '" + A.Name.name() +
-                             "' never accessed in the target body");
+        return opError(Error::Kind::Unification,
+                       "buffer argument '" + A.Name.name() +
+                           "' never accessed in the target body");
       const BufBinding &B = It->second;
       // Scalar data parameter: pass the matched element directly.
       if (!A.Ty.isTensor()) {
@@ -695,9 +695,9 @@ Expected<ProcRef> exo::scheduling::replaceWith(const Cursor &Stmts,
   // Pre-pass: bind each tensor parameter to a selection buffer.
   std::map<Sym, std::pair<Sym, unsigned>> Bases;
   if (!discoverBufferBases(*Target, Target->body(), Sel, Bases))
-    return makeError(Error::Kind::Unification,
-                     "replace: selection shape does not match '" +
-                         Target->name() + "'");
+    return opError(Error::Kind::Unification,
+                   "replace: selection shape does not match '" +
+                       Target->name() + "'");
 
   // Enumerate the categorical window choices per buffer parameter (§3.4).
   std::vector<Sym> BufParams;
@@ -710,15 +710,15 @@ Expected<ProcRef> exo::scheduling::replaceWith(const Cursor &Stmts,
     std::vector<std::vector<bool>> Choice;
     enumerateChoices(BaseRank.second, FooRank, Choice);
     if (Choice.empty())
-      return makeError(Error::Kind::Unification,
-                       "replace: parameter '" + ParamSym.name() +
-                           "' has higher rank than the matched buffer");
+      return opError(Error::Kind::Unification,
+                     "replace: parameter '" + ParamSym.name() +
+                         "' has higher rank than the matched buffer");
     BufParams.push_back(ParamSym);
     Options.push_back(std::move(Choice));
     Total *= Options.back().size();
     if (Total > 256)
-      return makeError(Error::Kind::Unification,
-                       "replace: too many window orientation choices");
+      return opError(Error::Kind::Unification,
+                     "replace: too many window orientation choices");
   }
 
   AnalysisCtx Ctx;
@@ -748,9 +748,9 @@ Expected<ProcRef> exo::scheduling::replaceWith(const Cursor &Stmts,
     StmtRef Call = Stmt::call(Target, std::move(*Args));
     return deriveProc(P, replaceRange(P->body(), *C, {Call}), *C, 1);
   }
-  return makeError(Error::Kind::Unification,
-                   "replace with '" + Target->name() + "' failed: " +
-                       LastWhy);
+  return opError(Error::Kind::Unification,
+                 "replace with '" + Target->name() + "' failed: " +
+                     LastWhy);
 }
 
 Expected<ProcRef> exo::scheduling::replaceWith(const ProcRef &P,

@@ -24,9 +24,8 @@
 ///    SIGPIPE policy (support::ignoreSigpipe) to turn dead peers into
 ///    EPIPE errors.
 ///
-/// Json is a small self-contained value type (null/bool/int/double/
-/// string/array/object) with a strict parser — no dependency is baked
-/// into the tree for what is a flat request/response schema.
+/// Payloads are support::Json documents; this file adds only the framing,
+/// the client connection and the output fingerprint.
 ///
 /// clientWriteFrame is the fault-injectable variant the soak harness and
 /// tests use to misbehave on purpose (support::FaultInjector kinds
@@ -39,105 +38,16 @@
 #define EXO_SERVICE_PROTOCOL_H
 
 #include "support/Error.h"
+#include "support/Json.h"
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
-#include <vector>
 
 namespace exo {
 namespace service {
 
-//===----------------------------------------------------------------------===//
-// Json
-//===----------------------------------------------------------------------===//
-
-class Json {
-public:
-  enum class Kind { Null, Bool, Int, Double, String, Array, Object };
-
-  Json() : K(Kind::Null) {}
-  Json(bool B) : K(Kind::Bool), B(B) {}
-  Json(int64_t I) : K(Kind::Int), I(I) {}
-  Json(int I) : K(Kind::Int), I(I) {}
-  Json(uint64_t I) : K(Kind::Int), I(static_cast<int64_t>(I)) {}
-  Json(double D) : K(Kind::Double), D(D) {}
-  Json(std::string S) : K(Kind::String), S(std::move(S)) {}
-  Json(const char *S) : K(Kind::String), S(S) {}
-
-  static Json array() {
-    Json J;
-    J.K = Kind::Array;
-    return J;
-  }
-  static Json object() {
-    Json J;
-    J.K = Kind::Object;
-    return J;
-  }
-
-  Kind kind() const { return K; }
-  bool isNull() const { return K == Kind::Null; }
-  bool isObject() const { return K == Kind::Object; }
-  bool isArray() const { return K == Kind::Array; }
-
-  /// Scalar accessors with defaults (wrong-kind reads return the
-  /// default; a flat protocol prefers lenient reads + explicit schema
-  /// checks at the call site).
-  bool asBool(bool Def = false) const { return K == Kind::Bool ? B : Def; }
-  int64_t asInt(int64_t Def = 0) const {
-    if (K == Kind::Int)
-      return I;
-    if (K == Kind::Double)
-      return static_cast<int64_t>(D);
-    return Def;
-  }
-  double asDouble(double Def = 0) const {
-    if (K == Kind::Double)
-      return D;
-    if (K == Kind::Int)
-      return static_cast<double>(I);
-    return Def;
-  }
-  const std::string &asString() const { return S; }
-
-  /// Object access: null when absent or not an object.
-  const Json *get(const std::string &Key) const;
-  /// Convenience typed lookups on objects.
-  int64_t getInt(const std::string &Key, int64_t Def = 0) const;
-  bool getBool(const std::string &Key, bool Def = false) const;
-  std::string getString(const std::string &Key,
-                        const std::string &Def = "") const;
-
-  /// Object/array mutation (switches kind on first use from Null).
-  Json &set(const std::string &Key, Json V);
-  Json &push(Json V);
-
-  const std::vector<Json> &items() const { return Arr; }
-  const std::vector<std::pair<std::string, Json>> &fields() const {
-    return Obj;
-  }
-
-  /// Compact serialization (no insignificant whitespace; object fields in
-  /// insertion order, so output is deterministic).
-  std::string dump() const;
-
-  /// Strict parse of one JSON document (trailing garbage is an error).
-  static Expected<Json> parse(const std::string &Text);
-
-private:
-  Kind K;
-  bool B = false;
-  int64_t I = 0;
-  double D = 0;
-  std::string S;
-  std::vector<Json> Arr;
-  std::vector<std::pair<std::string, Json>> Obj;
-};
-
-/// JSON string escaping (shared with ad-hoc emitters in the CLIs).
-std::string jsonEscape(const std::string &S);
+/// Requests and responses are support::Json documents.
+using support::Json;
 
 /// FNV-1a 64-bit as 16 hex digits: the service's output fingerprint (the
 /// soak harness's bit-identity check compares these instead of shipping

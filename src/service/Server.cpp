@@ -6,12 +6,9 @@
 
 #include "service/Server.h"
 
-#include "analysis/EffectCache.h"
-#include "backend/Backend.h"
 #include "driver/CompileSession.h"
+#include "driver/CompilerCounters.h"
 #include "driver/KernelSuite.h"
-#include "smt/QueryCache.h"
-#include "smt/Solver.h"
 #include "smt/Term.h"
 #include "support/Deadline.h"
 #include "support/FaultInjector.h"
@@ -566,11 +563,10 @@ Json Server::runCompile(const QueuedJob &J) {
   driver::JobResult Res = driver::CompileSession(SO).run(Job);
 
   R.set("ok", Res.Ok)
-      .set("status",
-           Res.Ok ? (Res.Degraded ? "degraded" : "ok") : "failed")
+      .set("status", Res.status())
       .set("kernel", Job.Name)
       .set("wall_ms", Res.WallMillis)
-      .set("solver_queries", Res.SolverQueries);
+      .set("solver_queries", Res.Solver.NumQueries);
   if (Res.Ok)
     R.set("fingerprint", fingerprint(Res.Output))
         .set("output_bytes", static_cast<int64_t>(Res.Output.size()));
@@ -770,62 +766,14 @@ Json Server::statsJson() const {
     R.set("breaker", std::move(S));
   }
 
-  {
-    smt::Solver::Stats SS = smt::solverGlobalStats();
-    Json S = Json::object();
-    S.set("queries", SS.NumQueries)
-        .set("cache_hits", SS.CacheHits)
-        .set("unknown", SS.NumUnknown);
-    R.set("solver", std::move(S));
-  }
+  // The compiler's process-wide counters. Long-lived-process gauges ride
+  // along: the term interner and the solver query cache survive across
+  // requests, so a daemon that is slowly getting slower shows up here
+  // first (live nodes / cached keys climbing, hit rates falling). The
+  // query cache's cross_job_hits are the warm-daemon currency: verdicts
+  // one request reused from a different request's compile.
+  R.merge(driver::CompilerCounters::global().toJson());
 
-  {
-    backend::JitBackend::CacheStats JS = backend::JitBackend::cacheStats();
-    Json S = Json::object();
-    S.set("compiles", JS.Compiles)
-        .set("hits", JS.Hits)
-        .set("evictions", JS.Evictions);
-    R.set("jit_cache", std::move(S));
-  }
-
-  // Long-lived-process gauges: the term interner and the solver query
-  // cache are process-wide and survive across requests; a daemon that is
-  // slowly getting slower shows up here first (live nodes / cached keys
-  // climbing, hit rates falling).
-  {
-    smt::TermInternerStats TS = smt::termInternerStats();
-    Json S = Json::object();
-    S.set("live", static_cast<int64_t>(TS.Live))
-        .set("hits", static_cast<int64_t>(TS.Hits))
-        .set("misses", static_cast<int64_t>(TS.Misses))
-        .set("flushes", static_cast<int64_t>(TS.Flushes));
-    R.set("term_interner", std::move(S));
-  }
-  {
-    smt::QueryCacheStats QS = smt::solverQueryCacheStats();
-    Json S = Json::object();
-    S.set("size", static_cast<int64_t>(QS.Size))
-        .set("insertions", static_cast<int64_t>(QS.Insertions))
-        .set("evictions", static_cast<int64_t>(QS.Evictions))
-        .set("uncacheable", static_cast<int64_t>(QS.Uncacheable))
-        .set("hits", static_cast<int64_t>(QS.Hits))
-        .set("misses", static_cast<int64_t>(QS.Misses))
-        // The warm-daemon currency: verdicts one request reused from a
-        // different request's compile (VarId-canonical keys make these
-        // possible across tenants and parses).
-        .set("cross_job_hits", static_cast<int64_t>(QS.CrossJobHits));
-    R.set("query_cache", std::move(S));
-  }
-  {
-    analysis::EffectCacheStats ES = analysis::effectCacheStats();
-    Json S = Json::object();
-    S.set("hits", static_cast<int64_t>(ES.Hits))
-        .set("misses", static_cast<int64_t>(ES.Misses))
-        .set("canon_indexed", static_cast<int64_t>(ES.CanonIndexed))
-        .set("cross_compile_hits",
-             static_cast<int64_t>(ES.CrossCompileHits));
-    R.set("effect_cache", std::move(S));
-  }
   {
     tuning::TunerProgress TP = tuning::tunerProgress();
     Json S = Json::object();

@@ -310,17 +310,30 @@ void exo::smt::queryCacheInsert(const std::string &Key, SolverResult R) {
 
 QueryCacheStats exo::smt::queryCacheThreadStats() { return TLStats; }
 
+static const support::CounterField<QueryCacheStats> QueryCacheStatFields[] = {
+    {"hits", &QueryCacheStats::Hits},
+    {"misses", &QueryCacheStats::Misses},
+    {"insertions", &QueryCacheStats::Insertions},
+    {"evictions", &QueryCacheStats::Evictions},
+    {"uncacheable", &QueryCacheStats::Uncacheable},
+    {"cross_job_hits", &QueryCacheStats::CrossJobHits},
+};
+
+QueryCacheStats QueryCacheStats::since(const QueryCacheStats &Before) const {
+  return support::countersSince(*this, Before, QueryCacheStatFields);
+}
+
+support::Json QueryCacheStats::toJson() const {
+  return support::countersJson(*this, QueryCacheStatFields)
+      .set("size", static_cast<uint64_t>(Size));
+}
+
 QueryCacheStats exo::smt::solverQueryCacheStats() {
   QueryCache &C = QueryCache::get();
   QueryCacheStats Sum;
   for (CacheStripe &S : C.Stripes) {
     std::lock_guard<std::mutex> Lock(S.M);
-    Sum.Hits += S.Stats.Hits;
-    Sum.Misses += S.Stats.Misses;
-    Sum.Insertions += S.Stats.Insertions;
-    Sum.Evictions += S.Stats.Evictions;
-    Sum.Uncacheable += S.Stats.Uncacheable;
-    Sum.CrossJobHits += S.Stats.CrossJobHits;
+    support::countersAdd(Sum, S.Stats, QueryCacheStatFields);
     Sum.Size += S.Table.size();
   }
   return Sum;

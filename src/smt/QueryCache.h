@@ -56,7 +56,11 @@ struct QueryCacheStats {
   /// from another in the same process — batch siblings, daemon requests,
   /// tuner candidates.
   uint64_t CrossJobHits = 0;
-  size_t Size = 0;          ///< entries currently stored
+  size_t Size = 0;          ///< entries currently stored (a gauge)
+
+  /// The counts accumulated since \p Before; Size stays this snapshot's.
+  QueryCacheStats since(const QueryCacheStats &Before) const;
+  support::Json toJson() const;
 };
 
 /// Canonical key of a closed query (see file comment for the rules).

@@ -77,7 +77,7 @@ thread_local TermRef TLLastBudgetUnknown;
 
 namespace {
 /// Applies \p Fn to every (snapshot-field, atomic-counter) pair so the
-/// snapshot/reset functions cannot drift out of sync with the counter
+/// snapshot function cannot drift out of sync with the counter
 /// list as stats grow.
 template <typename FnT> void forEachCounter(GlobalStats &G, FnT Fn) {
   Fn(&Solver::Stats::NumQueries, G.NumQueries);
@@ -112,16 +112,37 @@ Solver::Stats exo::smt::solverGlobalStats() {
   return S;
 }
 
-void exo::smt::resetSolverGlobalStats() {
-  GlobalStats &G = GlobalStats::get();
-  forEachCounter(G, [](uint64_t Solver::Stats::*M,
-                       std::atomic<uint64_t> &C) {
-    (void)M;
-    C.store(0, std::memory_order_relaxed);
-  });
+Solver::Stats exo::smt::solverThreadStats() { return TLStats; }
+
+static const support::CounterField<Solver::Stats> SolverStatFields[] = {
+    {"queries", &Solver::Stats::NumQueries},
+    {"unknown", &Solver::Stats::NumUnknown},
+    {"unknown_budget", &Solver::Stats::NumUnknownBudget},
+    {"unknown_structural", &Solver::Stats::NumUnknownStructural},
+    {"unknown_timeout", &Solver::Stats::NumUnknownTimeout},
+    {"cache_hits", &Solver::Stats::CacheHits},
+    {"cache_misses", &Solver::Stats::CacheMisses},
+    {"cooper_literals", &Solver::Stats::NumLiterals},
+    {"cooper_reorders", &Solver::Stats::CooperReorders},
+    {"cooper_early_exits", &Solver::Stats::CooperEarlyExits},
+    {"simplify_decided", &Solver::Stats::SimplifyDecided},
+    {"simplify_const_fold_hits", &Solver::Stats::SimplifyConstFoldHits},
+    {"simplify_const_fold_misses", &Solver::Stats::SimplifyConstFoldMisses},
+    {"simplify_eq_subst_hits", &Solver::Stats::SimplifyEqSubstHits},
+    {"simplify_eq_subst_misses", &Solver::Stats::SimplifyEqSubstMisses},
+    {"simplify_interval_hits", &Solver::Stats::SimplifyIntervalHits},
+    {"simplify_interval_misses", &Solver::Stats::SimplifyIntervalMisses},
+    {"fastpath_hits", &Solver::Stats::FastPathHits},
+    {"fastpath_misses", &Solver::Stats::FastPathMisses},
+};
+
+Solver::Stats Solver::Stats::since(const Stats &Before) const {
+  return support::countersSince(*this, Before, SolverStatFields);
 }
 
-Solver::Stats exo::smt::solverThreadStats() { return TLStats; }
+support::Json Solver::Stats::toJson() const {
+  return support::countersJson(*this, SolverStatFields);
+}
 
 void exo::smt::noteEffectFastPath(bool Hit) {
   GlobalStats &G = GlobalStats::get();

@@ -16,6 +16,7 @@
 #define EXO_SMT_SOLVER_H
 
 #include "smt/Term.h"
+#include "support/Json.h"
 
 #include <cstdint>
 
@@ -113,6 +114,10 @@ public:
     uint64_t CooperEarlyExits = 0;
     uint64_t FastPathHits = 0;
     uint64_t FastPathMisses = 0;
+
+    /// The counts accumulated since \p Before.
+    Stats since(const Stats &Before) const;
+    support::Json toJson() const;
   };
   const Stats &stats() const { return TheStats; }
 
@@ -126,7 +131,6 @@ private:
 /// Process-wide aggregate of every Solver instance's Stats. Benchmarks use
 /// this to observe solvers created deep inside the scheduling pipeline.
 Solver::Stats solverGlobalStats();
-void resetSolverGlobalStats();
 
 /// Per-thread aggregate of the same counters. A batch job runs entirely
 /// on one worker thread, so CompileSession snapshots this before and

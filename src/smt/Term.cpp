@@ -187,14 +187,29 @@ static TermRef makeNode(TermKind K, Sort S, int64_t V, TermVar Var,
   return Node;
 }
 
+static const support::CounterField<TermInternerStats>
+    TermInternerStatFields[] = {
+    {"hits", &TermInternerStats::Hits},
+    {"misses", &TermInternerStats::Misses},
+    {"flushes", &TermInternerStats::Flushes},
+};
+
+TermInternerStats
+TermInternerStats::since(const TermInternerStats &Before) const {
+  return support::countersSince(*this, Before, TermInternerStatFields);
+}
+
+support::Json TermInternerStats::toJson() const {
+  return support::countersJson(*this, TermInternerStatFields)
+      .set("live", static_cast<uint64_t>(Live));
+}
+
 TermInternerStats exo::smt::termInternerStats() {
   TermInterner &I = TermInterner::get();
   TermInternerStats Sum;
   for (InternerShard &Sh : I.Shards) {
     std::lock_guard<std::mutex> Lock(Sh.M);
-    Sum.Hits += Sh.Stats.Hits;
-    Sum.Misses += Sh.Stats.Misses;
-    Sum.Flushes += Sh.Stats.Flushes;
+    support::countersAdd(Sum, Sh.Stats, TermInternerStatFields);
     Sum.Live += Sh.LiveNodes;
   }
   return Sum;

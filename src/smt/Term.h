@@ -32,6 +32,7 @@
 #define EXO_SMT_TERM_H
 
 #include "support/Error.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <cstddef>
@@ -180,7 +181,11 @@ struct TermInternerStats {
   uint64_t Hits = 0;    ///< constructions that reused an existing node
   uint64_t Misses = 0;  ///< constructions that allocated a new node
   uint64_t Flushes = 0; ///< times the table was cleared on overflow
-  size_t Live = 0;      ///< nodes currently retained by the table
+  size_t Live = 0;      ///< nodes currently retained by the table (a gauge)
+
+  /// The counts accumulated since \p Before; Live stays this snapshot's.
+  TermInternerStats since(const TermInternerStats &Before) const;
+  support::Json toJson() const;
 };
 
 /// Snapshot of the interner counters.

@@ -157,9 +157,10 @@ void printReport(const FuzzReport &R) {
     }
     std::printf("      jit module cache: %llu compiles, %llu hits, %llu "
                 "evictions; %u backend mismatches\n",
-                (unsigned long long)S.JitCompiles,
-                (unsigned long long)S.JitCacheHits,
-                (unsigned long long)S.JitEvictions, S.BackendMismatches);
+                (unsigned long long)S.Cache.JitCache.Compiles,
+                (unsigned long long)S.Cache.JitCache.Hits,
+                (unsigned long long)S.Cache.JitCache.Evictions,
+                S.BackendMismatches);
   }
   for (const FuzzDivergence &D : R.Divergences) {
     std::printf("  DIVERGENCE seed %llu: %s: %s\n",
@@ -279,10 +280,8 @@ int main(int Argc, char **Argv) {
     return 2;
   }
   printReport(*R);
-  if (!JsonPath.empty()) {
-    std::ofstream Out(JsonPath);
-    Out << statsJson(*R, FO);
-  }
+  if (!JsonPath.empty())
+    std::ofstream(JsonPath) << statsJson(*R, FO).dump() << "\n";
   if (FO.CompareBackends) {
     // CI tripwire: the warm in-process JIT must beat the spawn-per-call
     // csource backend by at least 2x on lower+execute throughput.

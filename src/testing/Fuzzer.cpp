@@ -12,7 +12,6 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 using namespace exo;
 using namespace exo::ir;
@@ -181,6 +180,7 @@ exo::testing::writeReproducer(const std::string &Dir,
 
 Expected<FuzzReport> exo::testing::runFuzz(const FuzzOptions &O) {
   auto Start = std::chrono::steady_clock::now();
+  driver::CompilerCounters Before = driver::CompilerCounters::global();
   FuzzReport Report;
   FuzzStats &S = Report.Stats;
 
@@ -235,7 +235,6 @@ Expected<FuzzReport> exo::testing::runFuzz(const FuzzOptions &O) {
 
   // Run the oracle in batches; with the JIT backend each batch is one
   // shared-object compile (or a cache hit on replay).
-  backend::JitBackend::resetCacheStats();
   OracleTimings MainTimings;
   OracleOptions MainOracle = O.Oracle;
   MainOracle.Timings = &MainTimings;
@@ -343,99 +342,77 @@ Expected<FuzzReport> exo::testing::runFuzz(const FuzzOptions &O) {
     }
   }
 
-  backend::JitBackend::CacheStats JS = backend::JitBackend::cacheStats();
-  S.JitCompiles = JS.Compiles;
-  S.JitCacheHits = JS.Hits;
-  S.JitEvictions = JS.Evictions;
-
+  S.Cache = driver::CompilerCounters::global().since(Before);
   S.WallMillis = std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - Start)
                      .count();
   return Report;
 }
 
-std::string exo::testing::statsJson(const FuzzReport &R,
-                                    const FuzzOptions &O) {
+support::Json exo::testing::statsJson(const FuzzReport &R,
+                                      const FuzzOptions &O) {
+  using support::Json;
   const FuzzStats &S = R.Stats;
   double Secs = S.WallMillis / 1000.0;
-  std::ostringstream OS;
-  OS << "{\n";
-  OS << "  \"bench\": \"fuzz_smoke\",\n";
-  OS << "  \"seed\": " << O.Seed << ",\n";
-  OS << "  \"programs\": " << S.Programs << ",\n";
-  OS << "  \"gen_failures\": " << S.GenFailures << ",\n";
-  OS << "  \"schedules\": " << S.Schedules << ",\n";
-  OS << "  \"cases\": " << S.Cases << ",\n";
-  OS << "  \"oracle_batches\": " << S.OracleBatches << ",\n";
-  OS << "  \"divergences\": " << S.Divergences << ",\n";
-  OS << "  \"steps_proposed\": " << S.StepsProposed << ",\n";
-  OS << "  \"steps_accepted\": " << S.StepsAccepted << ",\n";
-  OS << "  \"differential_steps\": " << S.DifferentialSteps << ",\n";
-  OS << "  \"differential_mismatches\": " << S.DifferentialMismatches
-     << ",\n";
-  OS << "  \"incremental_hits\": " << S.IncrementalHits << ",\n";
-  OS << "  \"incremental_misses\": " << S.IncrementalMisses << ",\n";
-  OS << "  \"cursor_checks\": " << S.CursorChecks << ",\n";
-  OS << "  \"cursor_invalidated\": " << S.CursorInvalidated << ",\n";
-  OS << "  \"cursor_mismatches\": " << S.CursorMismatches << ",\n";
-  OS << "  \"incremental_hit_rate\": "
-     << (S.IncrementalHits + S.IncrementalMisses
-             ? static_cast<double>(S.IncrementalHits) /
-                   (S.IncrementalHits + S.IncrementalMisses)
-             : 0.0)
-     << ",\n";
-  OS << "  \"operator_acceptance_rate\": "
-     << (S.StepsProposed
-             ? static_cast<double>(S.StepsAccepted) / S.StepsProposed
-             : 0.0)
-     << ",\n";
-  OS << "  \"wall_ms\": " << S.WallMillis << ",\n";
-  OS << "  \"programs_per_sec\": " << (Secs > 0 ? S.Programs / Secs : 0.0)
-     << ",\n";
-  OS << "  \"cases_per_sec\": " << (Secs > 0 ? S.Cases / Secs : 0.0) << ",\n";
-  OS << "  \"backend\": \"" << O.Oracle.Backend << "\",\n";
-  OS << "  \"oracle_interp_ms\": " << S.OracleInterpMillis << ",\n";
-  OS << "  \"oracle_exec_ms\": " << S.OracleExecMillis << ",\n";
-  OS << "  \"backend_mismatches\": " << S.BackendMismatches << ",\n";
-  OS << "  \"jit_cache\": {\"compiles\": " << S.JitCompiles
-     << ", \"hits\": " << S.JitCacheHits
-     << ", \"evictions\": " << S.JitEvictions << "},\n";
+  auto Ratio = [](double Num, double Den) { return Den > 0 ? Num / Den : 0.0; };
+  Json J = Json::object();
+  J.set("bench", "fuzz_smoke")
+      .set("seed", O.Seed)
+      .set("programs", S.Programs)
+      .set("gen_failures", S.GenFailures)
+      .set("schedules", S.Schedules)
+      .set("cases", S.Cases)
+      .set("oracle_batches", S.OracleBatches)
+      .set("divergences", S.Divergences)
+      .set("steps_proposed", S.StepsProposed)
+      .set("steps_accepted", S.StepsAccepted)
+      .set("differential_steps", S.DifferentialSteps)
+      .set("differential_mismatches", S.DifferentialMismatches)
+      .set("incremental_hits", S.IncrementalHits)
+      .set("incremental_misses", S.IncrementalMisses)
+      .set("cursor_checks", S.CursorChecks)
+      .set("cursor_invalidated", S.CursorInvalidated)
+      .set("cursor_mismatches", S.CursorMismatches)
+      .set("incremental_hit_rate",
+           Ratio(S.IncrementalHits, S.IncrementalHits + S.IncrementalMisses))
+      .set("operator_acceptance_rate",
+           Ratio(S.StepsAccepted, S.StepsProposed))
+      .set("wall_ms", S.WallMillis)
+      .set("programs_per_sec", Ratio(S.Programs, Secs))
+      .set("cases_per_sec", Ratio(S.Cases, Secs))
+      .set("backend", O.Oracle.Backend)
+      .set("oracle_interp_ms", S.OracleInterpMillis)
+      .set("oracle_exec_ms", S.OracleExecMillis)
+      .set("backend_mismatches", S.BackendMismatches)
+      .merge(S.Cache.toJson());
   // Per-backend lower+execute throughput: cases/sec over the phase whose
   // cost the backend controls (the shared interpreter phase is excluded).
-  auto Cps = [](unsigned Cases, double Ms) {
-    return Ms > 0 ? Cases / (Ms / 1000.0) : 0.0;
-  };
   double CsWarm = 0, JitWarm = 0;
-  OS << "  \"backend_bench\": [";
-  for (size_t I = 0; I < S.BackendBenches.size(); ++I) {
-    const FuzzStats::BackendBench &B = S.BackendBenches[I];
-    double ColdCps = Cps(B.Cases, B.ColdExecMillis);
-    double WarmCps = Cps(B.Cases, B.WarmExecMillis);
+  Json Benches = Json::array();
+  for (const FuzzStats::BackendBench &B : S.BackendBenches) {
+    double WarmCps = Ratio(B.Cases, B.WarmExecMillis / 1000.0);
     if (B.Backend == "csource")
       CsWarm = WarmCps;
     else if (B.Backend == "jit")
       JitWarm = WarmCps;
-    OS << (I ? ",\n" : "\n") << "    {\"backend\": \"" << B.Backend
-       << "\", \"cases\": " << B.Cases << ", \"cold_ms\": " << B.ColdExecMillis
-       << ", \"warm_ms\": " << B.WarmExecMillis
-       << ", \"cold_cases_per_sec\": " << ColdCps
-       << ", \"warm_cases_per_sec\": " << WarmCps
-       << ", \"programs_per_sec\": "
-       << (B.WarmExecMillis > 0 ? S.Programs / (B.WarmExecMillis / 1000.0)
-                                : 0.0)
-       << "}";
+    Benches.push(
+        Json::object()
+            .set("backend", B.Backend)
+            .set("cases", B.Cases)
+            .set("cold_ms", B.ColdExecMillis)
+            .set("warm_ms", B.WarmExecMillis)
+            .set("cold_cases_per_sec",
+                 Ratio(B.Cases, B.ColdExecMillis / 1000.0))
+            .set("warm_cases_per_sec", WarmCps)
+            .set("programs_per_sec",
+                 Ratio(S.Programs, B.WarmExecMillis / 1000.0)));
   }
-  OS << (S.BackendBenches.empty() ? "],\n" : "\n  ],\n");
-  OS << "  \"jit_speedup_warm\": " << (CsWarm > 0 ? JitWarm / CsWarm : 0.0)
-     << ",\n";
-  OS << "  \"ops\": {";
-  bool First = true;
-  for (const auto &[Op, PA] : S.OpStats) {
-    OS << (First ? "\n" : ",\n") << "    \"" << Op
-       << "\": {\"proposed\": " << PA.first << ", \"accepted\": " << PA.second
-       << "}";
-    First = false;
-  }
-  OS << "\n  }\n}\n";
-  return OS.str();
+  Json Ops = Json::object();
+  for (const auto &[Op, PA] : S.OpStats)
+    Ops.set(Op, Json::object()
+                    .set("proposed", PA.first)
+                    .set("accepted", PA.second));
+  return J.set("backend_bench", std::move(Benches))
+      .set("jit_speedup_warm", Ratio(JitWarm, CsWarm))
+      .set("ops", std::move(Ops));
 }

@@ -23,6 +23,7 @@
 #ifndef EXO_TESTING_FUZZER_H
 #define EXO_TESTING_FUZZER_H
 
+#include "driver/CompilerCounters.h"
 #include "testing/Corpus.h"
 
 namespace exo {
@@ -97,8 +98,8 @@ struct FuzzStats {
   /// Cases whose oracle status differed between two backends (always 0
   /// on a healthy build; nonzero fails the run via clean()).
   unsigned BackendMismatches = 0;
-  /// JIT module-cache counters over the whole run.
-  uint64_t JitCompiles = 0, JitCacheHits = 0, JitEvictions = 0;
+  /// Compiler counters (solver, caches, JIT modules) over the whole run.
+  driver::CompilerCounters Cache;
 };
 
 struct FuzzReport {
@@ -140,8 +141,8 @@ Expected<CorpusCase> makeCorpusCase(uint64_t Seed, unsigned Variant,
                                     const GenOptions &GO,
                                     const ScheduleGenOptions &SO);
 
-/// Renders the BENCH_fuzz.json payload.
-std::string statsJson(const FuzzReport &R, const FuzzOptions &O);
+/// The BENCH_fuzz.json payload.
+support::Json statsJson(const FuzzReport &R, const FuzzOptions &O);
 
 } // namespace testing
 } // namespace exo

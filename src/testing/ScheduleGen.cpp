@@ -868,23 +868,13 @@ struct QueryProfile {
   uint64_t FastPathHits = 0;
   uint64_t FastPathMisses = 0;
 
-  static QueryProfile now() {
-    smt::Solver::Stats S = smt::solverThreadStats();
-    return {S.NumQueries, S.SimplifyDecided, S.FastPathHits,
-            S.FastPathMisses};
+  /// The profile of this thread's solver work since \p Base.
+  static QueryProfile since(const smt::Solver::Stats &Base) {
+    smt::Solver::Stats D = smt::solverThreadStats().since(Base);
+    return {D.NumQueries, D.SimplifyDecided, D.FastPathHits,
+            D.FastPathMisses};
   }
-  QueryProfile since(const QueryProfile &Base) const {
-    return {NumQueries - Base.NumQueries,
-            SimplifyDecided - Base.SimplifyDecided,
-            FastPathHits - Base.FastPathHits,
-            FastPathMisses - Base.FastPathMisses};
-  }
-  bool operator==(const QueryProfile &O) const {
-    return NumQueries == O.NumQueries &&
-           SimplifyDecided == O.SimplifyDecided &&
-           FastPathHits == O.FastPathHits &&
-           FastPathMisses == O.FastPathMisses;
-  }
+  bool operator==(const QueryProfile &) const = default;
   std::string str() const {
     return "queries=" + std::to_string(NumQueries) +
            " simplify_decided=" + std::to_string(SimplifyDecided) +
@@ -905,19 +895,19 @@ Expected<ProcRef> applyStepDifferential(ScheduleResult &Res,
     Res.DifferentialNotes.push_back("step '" + S.str() + "': " + What);
   };
 
-  QueryProfile FullBase = QueryProfile::now();
+  smt::Solver::Stats FullBase = smt::solverThreadStats();
   Expected<ProcRef> Full = [&] {
     analysis::ScopedEffectSnapshot Off(nullptr);
     return applyStep(Res.Scheduled, S);
   }();
-  QueryProfile FullDelta = QueryProfile::now().since(FullBase);
+  QueryProfile FullDelta = QueryProfile::since(FullBase);
 
-  QueryProfile IncBase = QueryProfile::now();
+  smt::Solver::Stats IncBase = smt::solverThreadStats();
   Expected<ProcRef> Inc = [&] {
     analysis::ScopedEffectSnapshot On(&Snap);
     return applyStep(Res.Scheduled, S);
   }();
-  QueryProfile IncDelta = QueryProfile::now().since(IncBase);
+  QueryProfile IncDelta = QueryProfile::since(IncBase);
 
   if (bool(Full) != bool(Inc)) {
     Note(std::string("verdict differs: full ") +

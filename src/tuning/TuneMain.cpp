@@ -29,8 +29,6 @@
 
 #include "tuning/Tuner.h"
 
-#include "support/ThreadPool.h"
-
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -42,35 +40,6 @@ using namespace exo::testing;
 using namespace exo::tuning;
 
 namespace {
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
 
 int usage(const char *Msg) {
   if (Msg)
@@ -118,65 +87,6 @@ void writeTrace(const std::string &Path,
     Out << S.str() << "\n";
 }
 
-void writeJson(const std::string &Path, const TuneOptions &O,
-               const TuneResult &R) {
-  std::ofstream Out(Path);
-  Out << "{\n";
-  Out << "  \"kernel\": \"" << jsonEscape(O.Kernel) << "\",\n";
-  Out << "  \"shape\": \"" << O.Shape.N << "x" << O.Shape.M << "x"
-      << O.Shape.K << "\",\n";
-  Out << "  \"metric\": \"" << metricName(O.Score) << "\",\n";
-  Out << "  \"population\": " << O.Population << ",\n";
-  Out << "  \"generations\": " << R.Stats.GenerationsRun << ",\n";
-  Out << "  \"beam\": " << O.Beam << ",\n";
-  Out << "  \"seed\": " << O.Seed << ",\n";
-  Out << "  \"threads\": "
-      << (O.Threads ? O.Threads : support::ThreadPool::hardwareThreads())
-      << ",\n";
-  Out << "  \"candidates_tried\": " << R.Stats.Tried << ",\n";
-  Out << "  \"candidates_ok\": " << R.Stats.Ok << ",\n";
-  Out << "  \"candidates_per_sec\": " << R.Stats.CandidatesPerSec << ",\n";
-  Out << "  \"wall_ms\": " << R.Stats.WallMillis << ",\n";
-  Out << "  \"ok\": " << (R.Ok ? "true" : "false") << ",\n";
-  if (R.Ok) {
-    Out << "  \"best_score\": " << R.Best.Eval.Score << ",\n";
-    Out << "  \"best_cycles\": " << R.Best.Eval.SimCycles << ",\n";
-    Out << "  \"best_wall_ms\": " << R.Best.Eval.WallMillis << ",\n";
-    Out << "  \"best_generation\": " << R.Best.Generation << ",\n";
-  }
-  if (R.HaveHandwritten) {
-    Out << "  \"handwritten_score\": " << R.Handwritten.Score << ",\n";
-    Out << "  \"handwritten_cycles\": " << R.Handwritten.SimCycles << ",\n";
-    if (R.Ok && R.Handwritten.Score > 0)
-      Out << "  \"best_vs_handwritten\": "
-          << R.Best.Eval.Score / R.Handwritten.Score << ",\n";
-  }
-  Out << "  \"query_cache\": {\"hits\": " << R.Stats.QueryCacheHits
-      << ", \"misses\": " << R.Stats.QueryCacheMisses
-      << ", \"cross_job_hits\": " << R.Stats.QueryCacheCrossJobHits
-      << "},\n";
-  Out << "  \"effect_cache\": {\"hits\": " << R.Stats.EffectHits
-      << ", \"cross_compile_hits\": " << R.Stats.EffectCrossCompileHits
-      << "},\n";
-  Out << "  \"jit\": {\"compiles\": " << R.Stats.JitCompiles
-      << ", \"hits\": " << R.Stats.JitHits << "},\n";
-  Out << "  \"generation_log\": [";
-  for (size_t I = 0; I < R.Log.size(); ++I) {
-    const GenerationEntry &E = R.Log[I];
-    Out << (I ? ", " : "") << "{\"gen\": " << E.Gen << ", \"best_score\": "
-        << E.BestScore << ", \"tried\": " << E.Tried << ", \"ok\": " << E.Ok
-        << "}";
-  }
-  Out << "],\n";
-  Out << "  \"best_trace\": [";
-  if (R.Ok)
-    for (size_t I = 0; I < R.Best.Applied.size(); ++I)
-      Out << (I ? ", " : "") << "\"" << jsonEscape(R.Best.Applied[I].str())
-          << "\"";
-  Out << "]\n";
-  Out << "}\n";
-}
-
 void printResult(const TuneOptions &O, const TuneResult &R) {
   std::printf("exocc-tune: %s %lldx%lldx%lld, metric %s\n", O.Kernel.c_str(),
               (long long)O.Shape.N, (long long)O.Shape.M,
@@ -209,9 +119,9 @@ void printResult(const TuneOptions &O, const TuneResult &R) {
               "cross-job hits; jit: %llu compiles, %llu hits\n",
               (unsigned long long)R.Stats.Tried, R.Stats.WallMillis,
               R.Stats.CandidatesPerSec,
-              (unsigned long long)R.Stats.QueryCacheCrossJobHits,
-              (unsigned long long)R.Stats.JitCompiles,
-              (unsigned long long)R.Stats.JitHits);
+              (unsigned long long)R.Stats.Cache.QueryCache.CrossJobHits,
+              (unsigned long long)R.Stats.Cache.JitCache.Compiles,
+              (unsigned long long)R.Stats.Cache.JitCache.Hits);
 }
 
 } // namespace
@@ -352,7 +262,7 @@ int main(int argc, char **argv) {
 
   printResult(O, R);
   if (!JsonPath.empty())
-    writeJson(JsonPath, O, R);
+    std::ofstream(JsonPath) << tuneJson(O, R).dump() << "\n";
   if (!EmitBest.empty() && R.Ok)
     writeTrace(EmitBest, R.Best.Applied);
 

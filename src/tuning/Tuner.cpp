@@ -6,8 +6,6 @@
 
 #include "tuning/Tuner.h"
 
-#include "analysis/EffectCache.h"
-#include "backend/Backend.h"
 #include "smt/QueryCache.h"
 #include "support/ThreadPool.h"
 
@@ -86,9 +84,7 @@ TuneResult exo::tuning::tune(const TuneOptions &O) {
 
   ++GRunsStarted;
   double T0 = nowMillis();
-  smt::QueryCacheStats Query0 = smt::solverQueryCacheStats();
-  analysis::EffectCacheStats Eff0 = analysis::effectCacheStats();
-  backend::JitBackend::CacheStats Jit0 = backend::JitBackend::cacheStats();
+  driver::CompilerCounters Before = driver::CompilerCounters::global();
 
   CostModel CM(O.Shape, O.Score);
   support::ThreadPool Pool(O.Threads == 0
@@ -201,17 +197,7 @@ TuneResult exo::tuning::tune(const TuneOptions &O) {
     }
   }
 
-  smt::QueryCacheStats Query1 = smt::solverQueryCacheStats();
-  analysis::EffectCacheStats Eff1 = analysis::effectCacheStats();
-  backend::JitBackend::CacheStats Jit1 = backend::JitBackend::cacheStats();
-  Out.Stats.QueryCacheHits = Query1.Hits - Query0.Hits;
-  Out.Stats.QueryCacheMisses = Query1.Misses - Query0.Misses;
-  Out.Stats.QueryCacheCrossJobHits = Query1.CrossJobHits - Query0.CrossJobHits;
-  Out.Stats.EffectHits = Eff1.Hits - Eff0.Hits;
-  Out.Stats.EffectCrossCompileHits =
-      Eff1.CrossCompileHits - Eff0.CrossCompileHits;
-  Out.Stats.JitCompiles = Jit1.Compiles - Jit0.Compiles;
-  Out.Stats.JitHits = Jit1.Hits - Jit0.Hits;
+  Out.Stats.Cache = driver::CompilerCounters::global().since(Before);
   Out.Stats.WallMillis = nowMillis() - T0;
   Out.Stats.CandidatesPerSec =
       Out.Stats.WallMillis > 0
@@ -222,6 +208,53 @@ TuneResult exo::tuning::tune(const TuneOptions &O) {
     Out.Error = "no candidate executed and verified";
   ++GRunsFinished;
   return Out;
+}
+
+support::Json exo::tuning::tuneJson(const TuneOptions &O,
+                                    const TuneResult &R) {
+  using support::Json;
+  Json J = Json::object();
+  J.set("kernel", O.Kernel)
+      .set("shape", std::to_string(O.Shape.N) + "x" +
+                        std::to_string(O.Shape.M) + "x" +
+                        std::to_string(O.Shape.K))
+      .set("metric", metricName(O.Score))
+      .set("population", O.Population)
+      .set("generations", R.Stats.GenerationsRun)
+      .set("beam", O.Beam)
+      .set("seed", O.Seed)
+      .set("threads",
+           O.Threads ? O.Threads : support::ThreadPool::hardwareThreads())
+      .set("candidates_tried", R.Stats.Tried)
+      .set("candidates_ok", R.Stats.Ok)
+      .set("candidates_per_sec", R.Stats.CandidatesPerSec)
+      .set("wall_ms", R.Stats.WallMillis)
+      .set("ok", R.Ok);
+  if (R.Ok)
+    J.set("best_score", R.Best.Eval.Score)
+        .set("best_cycles", R.Best.Eval.SimCycles)
+        .set("best_wall_ms", R.Best.Eval.WallMillis)
+        .set("best_generation", R.Best.Generation);
+  if (R.HaveHandwritten) {
+    J.set("handwritten_score", R.Handwritten.Score)
+        .set("handwritten_cycles", R.Handwritten.SimCycles);
+    if (R.Ok && R.Handwritten.Score > 0)
+      J.set("best_vs_handwritten", R.Best.Eval.Score / R.Handwritten.Score);
+  }
+  J.merge(R.Stats.Cache.toJson());
+  Json Log = Json::array();
+  for (const GenerationEntry &E : R.Log)
+    Log.push(Json::object()
+                 .set("gen", E.Gen)
+                 .set("best_score", E.BestScore)
+                 .set("tried", E.Tried)
+                 .set("ok", E.Ok));
+  Json Trace = Json::array();
+  if (R.Ok)
+    for (const ScheduleStep &S : R.Best.Applied)
+      Trace.push(S.str());
+  return J.set("generation_log", std::move(Log))
+      .set("best_trace", std::move(Trace));
 }
 
 TunerProgress exo::tuning::tunerProgress() {

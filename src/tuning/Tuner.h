@@ -25,6 +25,7 @@
 #ifndef EXO_TUNING_TUNER_H
 #define EXO_TUNING_TUNER_H
 
+#include "driver/CompilerCounters.h"
 #include "tuning/CostModel.h"
 #include "tuning/SearchSpace.h"
 
@@ -54,17 +55,14 @@ struct Candidate {
 };
 
 /// Search-wide tallies, including the cache economics of the run (the
-/// deltas of the process-wide caches over the search).
+/// delta of the compiler counters over the search).
 struct TuneStats {
   uint64_t Tried = 0; ///< candidates evaluated (incl. dead)
   uint64_t Ok = 0;    ///< candidates that executed and verified
   unsigned GenerationsRun = 0;
   double WallMillis = 0;
   double CandidatesPerSec = 0;
-  uint64_t QueryCacheHits = 0, QueryCacheMisses = 0;
-  uint64_t QueryCacheCrossJobHits = 0;
-  uint64_t EffectHits = 0, EffectCrossCompileHits = 0;
-  uint64_t JitCompiles = 0, JitHits = 0;
+  driver::CompilerCounters Cache;
 };
 
 struct GenerationEntry {
@@ -88,6 +86,10 @@ struct TuneResult {
 /// Runs the search. Never throws; an un-startable search (unknown
 /// kernel, bad shape) comes back with Ok == false and Error set.
 TuneResult tune(const TuneOptions &O);
+
+/// The exocc-tune --json report of a search (or replay) run with \p O
+/// (README.md, "exocc-tune").
+support::Json tuneJson(const TuneOptions &O, const TuneResult &R);
 
 /// Process-wide tuner progress, readable from other threads while a
 /// search runs (exocc-serve surfaces these on its stats op).

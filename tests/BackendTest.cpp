@@ -249,7 +249,7 @@ TEST(BackendDifferential, SuiteKernelsLowerIdenticallyInBothBackends) {
 TEST(JitCache, HitsAndEvictionsAreCounted) {
   JitBackend &BE = jitBackend();
   JitBackend::clearCache();
-  JitBackend::resetCacheStats();
+  JitBackend::CacheStats Before = JitBackend::cacheStats();
 
   ProcRef P = addOneProc("cache_probe");
   float Buf[8] = {0};
@@ -264,7 +264,7 @@ TEST(JitCache, HitsAndEvictionsAreCounted) {
   };
   runOnce();
   runOnce();
-  JitBackend::CacheStats St = JitBackend::cacheStats();
+  JitBackend::CacheStats St = JitBackend::cacheStats().since(Before);
   EXPECT_EQ(St.Compiles, 1u); // second run was a content-hash hit
   EXPECT_GE(St.Hits, 1u);
 
@@ -280,7 +280,7 @@ TEST(JitCache, HitsAndEvictionsAreCounted) {
                       RunArg::buffer(B.data(), sizeof(Buf))};
     ASSERT_TRUE(BE.execute(**M, Name, Args).ok());
   }
-  St = JitBackend::cacheStats();
+  St = JitBackend::cacheStats().since(Before);
   EXPECT_GE(St.Evictions, 1u);
   JitBackend::setCacheCapacity(64); // restore the default for later tests
 }
@@ -288,7 +288,6 @@ TEST(JitCache, HitsAndEvictionsAreCounted) {
 TEST(JitCache, CacheSaltPartitionsTenantsInTheModuleCache) {
   JitBackend &BE = jitBackend();
   JitBackend::clearCache();
-  JitBackend::resetCacheStats();
 
   ProcRef P = addOneProc("salted_probe");
 
@@ -335,12 +334,12 @@ TEST(JitCache, CacheSaltPartitionsTenantsInTheModuleCache) {
     ASSERT_TRUE(S.ok()) << S.Detail;
     EXPECT_EQ(B[0], 2.0f); // identical behavior regardless of tenant
   };
-  JitBackend::resetCacheStats();
+  JitBackend::CacheStats Before = JitBackend::cacheStats();
   runAs(TenantA);
   runAs(TenantB);
   runAs(TenantA);
   runAs(TenantB);
-  JitBackend::CacheStats St = JitBackend::cacheStats();
+  JitBackend::CacheStats St = JitBackend::cacheStats().since(Before);
   EXPECT_EQ(St.Compiles, 2u); // one artifact per tenant, not one shared
   EXPECT_GE(St.Hits, 2u);     // repeats stay within their own tenant
 }

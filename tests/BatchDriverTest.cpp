@@ -256,14 +256,100 @@ TEST(BatchDriverTest, SecondCompileOfSameKernelHitsAcrossJobs) {
   BatchResult Warm = BatchDriver(1).run(One);
   ASSERT_TRUE(Warm.AllOk) << Warm.Jobs[0].ErrorMessage;
 
-  EXPECT_GT(Warm.Cache.QueryCacheCrossJobHits, 0u)
+  EXPECT_GT(Warm.Cache.QueryCache.CrossJobHits, 0u)
       << "recompile should hit query-cache entries owned by the first job";
-  EXPECT_GT(Warm.Cache.EffectCrossCompileHits, 0u)
+  EXPECT_GT(Warm.Cache.EffectCache.CrossCompileHits, 0u)
       << "recompile should rehydrate the first job's effect summaries";
   // The per-job counters tell the same story.
-  EXPECT_GT(Warm.Jobs[0].QueryCacheCrossJobHits, 0u);
+  EXPECT_GT(Warm.Jobs[0].QueryCache.CrossJobHits, 0u);
   EXPECT_EQ(Warm.Jobs[0].Output, Cold.Jobs[0].Output)
       << "warm compile must be byte-identical to cold";
+}
+
+/// The value at a dotted key path of a parsed report, or null.
+const support::Json *at(const support::Json &J, const std::string &Path) {
+  const support::Json *Cur = &J;
+  size_t Pos = 0;
+  while (Cur && Pos <= Path.size()) {
+    size_t Dot = Path.find('.', Pos);
+    if (Dot == std::string::npos)
+      Dot = Path.size();
+    Cur = Cur->get(Path.substr(Pos, Dot - Pos));
+    Pos = Dot + 1;
+  }
+  return Cur;
+}
+
+TEST(CompilerCountersTest, SinceSubtractsCountersAndKeepsGauges) {
+  CompilerCounters A, B;
+  A.QueryCache.Hits = 5;
+  A.QueryCache.Size = 10;
+  A.EffectCache.CrossCompileHits = 1;
+  A.EffectCache.CanonSize = 7;
+  A.TermInterner.Live = 100;
+  A.Solver.NumQueries = 2;
+  A.JitCache.Compiles = 4;
+  B = A;
+  B.QueryCache.Hits = 8;
+  B.QueryCache.Size = 3;
+  B.EffectCache.CrossCompileHits = 6;
+  B.TermInterner.Live = 40;
+  B.Solver.NumQueries = 9;
+  B.JitCache.Compiles = 4;
+
+  CompilerCounters D = B.since(A);
+  EXPECT_EQ(D.QueryCache.Hits, 3u);
+  EXPECT_EQ(D.QueryCache.Size, 3u) << "a gauge is the later snapshot's";
+  EXPECT_EQ(D.EffectCache.CrossCompileHits, 5u);
+  EXPECT_EQ(D.EffectCache.CanonSize, 7u);
+  EXPECT_EQ(D.TermInterner.Live, 40u);
+  EXPECT_EQ(D.Solver.NumQueries, 7u);
+  EXPECT_EQ(D.JitCache.Compiles, 0u);
+
+  auto J = support::Json::parse(D.toJson().dump());
+  ASSERT_TRUE(J) << J.error().str();
+  ASSERT_NE(at(*J, "query_cache.cross_job_hits"), nullptr);
+  ASSERT_NE(at(*J, "effect_cache.cross_compile_hits"), nullptr);
+  EXPECT_EQ(at(*J, "effect_cache.cross_compile_hits")->asInt(), 5);
+  EXPECT_EQ(at(*J, "query_cache.size")->asInt(), 3);
+  EXPECT_EQ(at(*J, "solver.queries")->asInt(), 7);
+  EXPECT_EQ(at(*J, "term_interner.live")->asInt(), 40);
+  EXPECT_NE(at(*J, "jit_cache.compiles"), nullptr);
+
+  // The process-wide snapshot renders under the same keys.
+  auto G = support::Json::parse(CompilerCounters::global().toJson().dump());
+  ASSERT_TRUE(G) << G.error().str();
+  EXPECT_NE(at(*G, "query_cache.cross_job_hits"), nullptr);
+}
+
+TEST(BatchDriverTest, BatchJsonParsesAndCarriesCountersAndErrors) {
+  const std::string Msg = "bad \"quote\", back\\slash\nsecond line";
+  std::vector<CompileJob> Jobs;
+  Jobs.push_back(tiledGemmJob("ok", 8));
+  Jobs.push_back({"awkward_error",
+                  [Msg]() -> Expected<std::vector<ProcRef>> {
+                    return makeError(Error::Kind::Scheduling, Msg);
+                  },
+                  /*BuildReference=*/{}});
+  BatchResult R = BatchDriver(1).run(Jobs);
+  ASSERT_EQ(R.NumFailed, 1u);
+
+  auto J = support::Json::parse(batchJson(R).dump());
+  ASSERT_TRUE(J) << J.error().str();
+  ASSERT_NE(at(*J, "cache.query_cache.cross_job_hits"), nullptr);
+  ASSERT_NE(at(*J, "cache.effect_cache.cross_compile_hits"), nullptr);
+  EXPECT_EQ(at(*J, "cache.solver.queries")->asInt(),
+            static_cast<int64_t>(R.Cache.Solver.NumQueries));
+  EXPECT_EQ(J->getInt("failed"), 1);
+  const support::Json *JobsJ = J->get("jobs");
+  ASSERT_NE(JobsJ, nullptr);
+  ASSERT_EQ(JobsJ->items().size(), 2u);
+  const support::Json &Bad = JobsJ->items()[1];
+  EXPECT_EQ(Bad.getString("status"), "failed");
+  EXPECT_EQ(Bad.getString("error"), Msg);
+  EXPECT_EQ(Bad.getString("error_kind"), R.Jobs[1].ErrorKind);
+  EXPECT_NE(at(JobsJ->items()[0], "solver.queries"), nullptr);
+  EXPECT_NE(at(JobsJ->items()[0], "query_cache.cross_job_hits"), nullptr);
 }
 
 TEST(BatchDriverTest, StandardSuiteIsWellFormed) {

@@ -273,16 +273,16 @@ TEST(ConcurrencyTest, GlobalSolverStatsAggregateAtomically) {
     for (unsigned R = 0; R < Reps; ++R)
       (void)tileQuery(static_cast<int64_t>(2 + (R % 8)));
   };
-  resetSolverGlobalStats();
+  Solver::Stats Before = solverGlobalStats();
   clearSolverQueryCache();
   Workload();
-  Solver::Stats Serial = solverGlobalStats();
+  Solver::Stats Serial = solverGlobalStats().since(Before);
   ASSERT_GT(Serial.NumQueries, 0u);
 
-  resetSolverGlobalStats();
+  Before = solverGlobalStats();
   clearSolverQueryCache();
   onThreads([&](unsigned T) { Workload(); });
-  Solver::Stats S = solverGlobalStats();
+  Solver::Stats S = solverGlobalStats().since(Before);
   EXPECT_EQ(S.NumQueries, NumThreads * Serial.NumQueries);
   EXPECT_EQ(S.CacheHits + S.CacheMisses, Serial.NumQueries > 0
                 ? NumThreads * (Serial.CacheHits + Serial.CacheMisses)

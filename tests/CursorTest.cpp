@@ -503,6 +503,9 @@ def imp(x: R[8, 8], y: R[8]):
   EXPECT_EQ(PatternOf(PReorder.error()), "for i in _: _");
   EXPECT_EQ(CReorder.error().kind(), PReorder.error().kind());
   EXPECT_EQ(OpOf(CReorder.error()), OpOf(PReorder.error()));
+  // A failure raised without a solver query still names its operator.
+  EXPECT_EQ(OpOf(PReorder.error()), "reorder");
+  EXPECT_EQ(OpOf(CReorder.error()), "reorder");
 }
 
 TEST(CursorTest, CursorsReachPastPatternOrdinal1023) {

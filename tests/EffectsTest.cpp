@@ -138,7 +138,7 @@ TEST(EffectsTest, DisjointFastPathAnswersSeparatedTiles) {
   // The interval fast path (analysis::disjointFastPath) must answer the
   // x[0:8] / x[8:16] case without posing a solver query: the coordinate
   // difference i - j lies in [-15, -1] under the loop bounds.
-  smt::resetSolverGlobalStats();
+  smt::Solver::Stats Before = smt::solverGlobalStats();
   TwoStmtEffects T(R"(
 @proc
 def f(x: R[16]):
@@ -148,14 +148,14 @@ def f(x: R[16]):
         x[j] = 2.0
 )");
   EXPECT_TRUE(T.commutes());
-  EXPECT_GT(smt::solverGlobalStats().FastPathHits, 0u);
+  EXPECT_GT(smt::solverGlobalStats().since(Before).FastPathHits, 0u);
 }
 
 TEST(EffectsTest, DisjointFastPathBailsOnSharedBinder) {
   // Overlapping tiles sharing structure must NOT be claimed disjoint:
   // x[0:9] and x[8:16] overlap at x[8]; the fast path may only miss
   // (falling back to the solver), never hit.
-  smt::resetSolverGlobalStats();
+  smt::Solver::Stats Before = smt::solverGlobalStats();
   TwoStmtEffects T(R"(
 @proc
 def f(x: R[16]):
@@ -165,7 +165,7 @@ def f(x: R[16]):
         x[j] = 2.0
 )");
   EXPECT_FALSE(T.commutes());
-  EXPECT_EQ(smt::solverGlobalStats().FastPathHits, 0u);
+  EXPECT_EQ(smt::solverGlobalStats().since(Before).FastPathHits, 0u);
 }
 
 TEST(EffectsTest, GuardedWritesRespectGuards) {

@@ -349,10 +349,34 @@ TEST(FuzzAcceptance, CleanRunProducesStatsJson) {
   EXPECT_TRUE(R->clean());
   EXPECT_EQ(R->Stats.Programs, 2u);
   EXPECT_EQ(R->Stats.Cases, 4u); // identity + 1 schedule per program
-  std::string Json = statsJson(*R, FO);
+  std::string Json = statsJson(*R, FO).dump();
   for (const char *Key : {"\"programs\"", "\"cases\"", "\"schedules\"",
                           "\"steps_accepted\"", "\"divergences\""})
     EXPECT_NE(Json.find(Key), std::string::npos) << Key;
+}
+
+TEST(FuzzAcceptance, StatsJsonParsesWithOpsAndCounters) {
+  FuzzOptions FO;
+  FuzzReport R;
+  R.Stats.Programs = 1;
+  R.Stats.OpStats["split"] = {3, 1};
+  R.Stats.Cache.QueryCache.CrossJobHits = 2;
+  R.Stats.Cache.JitCache.Compiles = 1;
+  R.Stats.BackendBenches.push_back({"csource", 4, 0, 0});
+
+  auto J = support::Json::parse(statsJson(R, FO).dump());
+  ASSERT_TRUE(J) << J.error().str();
+  ASSERT_NE(J->get("ops"), nullptr);
+  ASSERT_NE(J->get("ops")->get("split"), nullptr);
+  EXPECT_EQ(J->get("ops")->get("split")->getInt("proposed"), 3);
+  EXPECT_EQ(J->get("ops")->get("split")->getInt("accepted"), 1);
+  ASSERT_NE(J->get("query_cache"), nullptr);
+  EXPECT_EQ(J->get("query_cache")->getInt("cross_job_hits"), 2);
+  ASSERT_NE(J->get("jit_cache"), nullptr);
+  EXPECT_EQ(J->get("jit_cache")->getInt("compiles"), 1);
+  ASSERT_NE(J->get("effect_cache"), nullptr);
+  EXPECT_NE(J->get("effect_cache")->get("cross_compile_hits"), nullptr);
+  ASSERT_EQ(J->get("backend_bench")->items().size(), 1u);
 }
 
 //===----------------------------------------------------------------------===//

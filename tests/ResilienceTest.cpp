@@ -288,7 +288,7 @@ TEST(RetryPolicyTest, PipelineDecidesStarvedQueriesOutright) {
   JobResult R = CompileSession(Opts).run(stagedGemmJob());
   EXPECT_TRUE(R.Ok) << R.ErrorMessage;
   EXPECT_EQ(R.Retries, 0u);
-  EXPECT_GT(R.SimplifyDecided + R.FastPathHits, 0u);
+  EXPECT_GT(R.Solver.SimplifyDecided + R.Solver.FastPathHits, 0u);
 }
 
 TEST(RetryPolicyTest, BudgetUnknownWithoutRetriesStaysFailed) {

@@ -26,6 +26,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <thread>
 
@@ -99,6 +100,23 @@ TEST(JsonTest, TypedAccessorsAreLenient) {
   EXPECT_EQ(V->getString("s"), "x");
   EXPECT_TRUE(V->getBool("b"));
   EXPECT_DOUBLE_EQ(V->get("d")->asDouble(), 2.5);
+}
+
+TEST(JsonTest, NonFiniteDoublesDumpAsNull) {
+  // JSON has no NaN or infinity; a report holding one must still parse.
+  Json O = Json::object();
+  O.set("ratio", std::numeric_limits<double>::quiet_NaN())
+      .set("rate", std::numeric_limits<double>::infinity())
+      .set("floor", -std::numeric_limits<double>::infinity())
+      .set("half", 0.5);
+  EXPECT_EQ(O.dump(), "{\"ratio\":null,\"rate\":null,\"floor\":null,"
+                      "\"half\":0.5}");
+  auto Back = Json::parse(O.dump());
+  ASSERT_TRUE(Back) << Back.error().str();
+  EXPECT_TRUE(Back->get("ratio")->isNull());
+  EXPECT_TRUE(Back->get("rate")->isNull());
+  EXPECT_TRUE(Back->get("floor")->isNull());
+  EXPECT_DOUBLE_EQ(Back->get("half")->asDouble(), 0.5);
 }
 
 TEST(JsonTest, FingerprintIsStable) {

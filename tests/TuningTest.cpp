@@ -213,7 +213,7 @@ TEST(Tuner, RediscoversGemminiScheduleWithinBudget) {
   // The search's analysis work must show up in the cross-job gauges:
   // sibling candidates share schedule-verification verdicts through the
   // canonicalized query cache.
-  EXPECT_GT(R.Stats.QueryCacheCrossJobHits, 0u);
+  EXPECT_GT(R.Stats.Cache.QueryCache.CrossJobHits, 0u);
 
   // Progress counters (exocc-serve's stats op reads these) advanced.
   TunerProgress After = tunerProgress();
@@ -265,6 +265,36 @@ TEST(Tuner, WinningTraceReplaysToTheReportedScore) {
   ASSERT_TRUE(E.Ok) << E.FailStage << ": " << E.Detail;
   EXPECT_EQ(E.Score, R.Best.Eval.Score);
   EXPECT_EQ(E.SimCycles, R.Best.Eval.SimCycles);
+}
+
+TEST(Tuner, TuneJsonParsesWithCounterKeyPaths) {
+  TuneOptions O;
+  O.Kernel = "gemmini_matmul";
+  TuneResult R;
+  R.Ok = true;
+  R.Best.Applied = {*ScheduleStep::parse("split|k|16|ko|ki|perfect")};
+  R.Best.Eval.Score = 2.0;
+  R.HaveHandwritten = true;
+  R.Handwritten.Score = 0; // no ratio is reported against a zero score
+  R.Stats.Tried = 3;
+  R.Stats.Cache.QueryCache.CrossJobHits = 4;
+  R.Stats.Cache.EffectCache.CrossCompileHits = 5;
+  R.Log.push_back({0, 2.0, 3, 1});
+
+  auto J = support::Json::parse(tuneJson(O, R).dump());
+  ASSERT_TRUE(J) << J.error().str();
+  ASSERT_NE(J->get("query_cache"), nullptr);
+  EXPECT_EQ(J->get("query_cache")->getInt("cross_job_hits"), 4);
+  ASSERT_NE(J->get("effect_cache"), nullptr);
+  EXPECT_EQ(J->get("effect_cache")->getInt("cross_compile_hits"), 5);
+  EXPECT_NE(J->get("jit_cache"), nullptr);
+  EXPECT_EQ(J->getInt("candidates_tried"), 3);
+  EXPECT_EQ(J->get("best_vs_handwritten"), nullptr);
+  ASSERT_NE(J->get("best_trace"), nullptr);
+  ASSERT_EQ(J->get("best_trace")->items().size(), 1u);
+  EXPECT_EQ(J->get("best_trace")->items()[0].asString(),
+            "split|k|16|ko|ki|perfect");
+  ASSERT_EQ(J->get("generation_log")->items().size(), 1u);
 }
 
 TEST(Tuner, UnknownKernelFailsCleanly) {
