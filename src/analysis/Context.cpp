@@ -73,21 +73,19 @@ Block exo::analysis::replaceRange(const Block &Body, const StmtCursor &C,
   return replaceRangeImpl(Body, C, 0, NewStmts);
 }
 
-void exo::analysis::collectConfigReads(const StmtRef &S,
-                                       std::set<Sym> &Out) {
-  // Expression-level reads.
+void exo::analysis::ownConfigAccesses(const StmtRef &S, std::set<Sym> &Reads,
+                                      std::set<Sym> &Writes) {
   std::function<void(const ExprRef &)> Walk = [&](const ExprRef &E) {
     if (!E)
       return;
     if (E->kind() == ExprKind::ReadConfig)
-      Out.insert(E->field());
+      Reads.insert(E->field());
     for (auto &C : childExprs(E))
       Walk(C);
   };
   for (auto &I : S->indices())
     Walk(I);
-  if (S->Rhs)
-    Walk(S->Rhs);
+  Walk(S->Rhs);
   if (S->kind() == StmtKind::For) {
     Walk(S->lo());
     Walk(S->hi());
@@ -95,51 +93,36 @@ void exo::analysis::collectConfigReads(const StmtRef &S,
   if (S->kind() == StmtKind::Alloc)
     for (auto &D : S->allocType().dims())
       Walk(D);
-  if (S->kind() == StmtKind::Call)
-    collectConfigReads(S->proc()->body(), Out);
-  collectConfigReads(S->body(), Out);
-  collectConfigReads(S->orelse(), Out);
-}
-
-void exo::analysis::collectConfigReads(const Block &B, std::set<Sym> &Out) {
-  for (auto &S : B)
-    collectConfigReads(S, Out);
-}
-
-namespace {
-
-void collectConfigWritesStmt(const StmtRef &S, std::set<Sym> &Out) {
   if (S->kind() == StmtKind::WriteConfig)
-    Out.insert(S->field());
-  if (S->kind() == StmtKind::Call)
-    collectConfigWrites(S->proc()->body(), Out);
-  collectConfigWrites(S->body(), Out);
-  collectConfigWrites(S->orelse(), Out);
+    Writes.insert(S->field());
 }
 
-} // namespace
-
-void exo::analysis::collectConfigWrites(const Block &B, std::set<Sym> &Out) {
-  for (auto &S : B)
-    collectConfigWritesStmt(S, Out);
+void exo::analysis::collectConfigAccesses(const Block &B, std::set<Sym> &Reads,
+                                          std::set<Sym> &Writes) {
+  for (auto &S : B) {
+    ownConfigAccesses(S, Reads, Writes);
+    if (S->kind() == StmtKind::Call)
+      collectConfigAccesses(S->proc()->body(), Reads, Writes);
+    collectConfigAccesses(S->body(), Reads, Writes);
+    collectConfigAccesses(S->orelse(), Reads, Writes);
+  }
 }
 
 ContextInfo exo::analysis::computeContext(AnalysisCtx &Ctx, const Proc &P,
                                           const StmtCursor &C) {
   ContextInfo Info;
 
-  // Incremental mode: per-subtree summaries (config sets, stabilization
-  // probes) come from the thread's snapshot when one is active. The
-  // snapshot serves exactly what the inline walks below would compute, so
-  // the two modes differ only in work saved, never in results.
+  // Incremental mode: per-subtree config sets (and, inside
+  // stabilizedKeys, stabilization probes) come from the thread's snapshot
+  // when one is active. The snapshot serves exactly what the inline walks
+  // below would compute, so the two modes differ only in work saved, never
+  // in results.
   EffectSnapshot *Snap = activeEffectSnapshot();
   auto AddCfg = [&](const StmtRef &S) {
-    if (Snap) {
+    if (Snap)
       Snap->configSets(S, Info.PostReadFields, Info.PostWriteFields);
-    } else {
-      collectConfigReads(S, Info.PostReadFields);
-      collectConfigWrites({S}, Info.PostWriteFields);
-    }
+    else
+      collectConfigAccesses({S}, Info.PostReadFields, Info.PostWriteFields);
   };
 
   // Asserted preconditions strengthen the path condition (§3.1 item 6).
@@ -185,16 +168,7 @@ ContextInfo exo::analysis::computeContext(AnalysisCtx &Ctx, const Proc &P,
       // bind the iterator to a fresh variable constrained by its bounds.
       EffInt Lo = Ctx.liftControl(S->lo(), Info.Pre.Env);
       EffInt Hi = Ctx.liftControl(S->hi(), Info.Pre.Env);
-      if (Snap) {
-        havocKeys(Ctx, Info.Pre.Env,
-                  Snap->loopStabilizedKeys(Ctx, S, Info.Pre));
-      } else {
-        FlowState Probe = Info.Pre;
-        Probe.Env[S->name()] = Ctx.unknownInt();
-        flowBlock(Ctx, Probe, S->body());
-        Probe.Env.erase(S->name());
-        havocKeys(Ctx, Info.Pre.Env, changedKeys(Info.Pre.Env, Probe.Env));
-      }
+      havocKeys(Ctx, Info.Pre.Env, stabilizedKeys(Ctx, S, Info.Pre));
       // Use the symbol's canonical solver variable so downstream passes
       // (notably unification) can render solutions back to expressions.
       smt::TermVar X = Ctx.varFor(S->name());

@@ -72,12 +72,14 @@ struct ContextInfo {
 ContextInfo computeContext(AnalysisCtx &Ctx, const ir::Proc &P,
                            const StmtCursor &C);
 
-/// Syntactic set of configuration fields read (not written) anywhere in
+/// The configuration fields \p S reads and writes at its own level: not
+/// in nested blocks, callee bodies or call arguments.
+void ownConfigAccesses(const ir::StmtRef &S, std::set<ir::Sym> &Reads,
+                       std::set<ir::Sym> &Writes);
+/// Syntactic sets of configuration fields read and written anywhere in
 /// the fragment, looking through call bodies; assertions are excluded.
-void collectConfigReads(const ir::Block &B, std::set<ir::Sym> &Out);
-void collectConfigReads(const ir::StmtRef &S, std::set<ir::Sym> &Out);
-/// Same for written fields.
-void collectConfigWrites(const ir::Block &B, std::set<ir::Sym> &Out);
+void collectConfigAccesses(const ir::Block &B, std::set<ir::Sym> &Reads,
+                           std::set<ir::Sym> &Writes);
 
 } // namespace analysis
 } // namespace exo

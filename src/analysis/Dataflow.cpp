@@ -59,6 +59,28 @@ void exo::analysis::havocKeys(AnalysisCtx &Ctx, EffEnv &Env,
     Env[K] = Ctx.unknownInt();
 }
 
+std::vector<Sym> exo::analysis::stabilizedKeys(AnalysisCtx &Ctx,
+                                               const StmtRef &ForStmt,
+                                               const FlowState &Pre) {
+  EffectSnapshot *Snap = activeEffectSnapshot();
+  // The probe erases the iterator, so an entry state that binds it (only
+  // possible in ill-formed, shadowing IR) is reported even for an
+  // identity body.
+  if (!Pre.Env.count(ForStmt->name()) && flowsAsIdentity(ForStmt)) {
+    if (Snap)
+      Snap->noteProbeSkipped();
+    return {};
+  }
+  auto Probe = [&] {
+    FlowState Body = Pre;
+    Body.Env[ForStmt->name()] = Ctx.unknownInt(); // some iteration
+    flowBlock(Ctx, Body, ForStmt->body());
+    Body.Env.erase(ForStmt->name());
+    return changedKeys(Pre.Env, Body.Env);
+  };
+  return Snap ? Snap->loopStabilizedKeys(ForStmt, Pre, Probe) : Probe();
+}
+
 Block exo::analysis::substitutedCalleeBody(const StmtRef &CallStmt) {
   assert(CallStmt->kind() == StmtKind::Call && "not a call");
   const ProcRef &Callee = CallStmt->proc();
@@ -73,11 +95,6 @@ Block exo::analysis::substitutedCalleeBody(const StmtRef &CallStmt) {
 
 void exo::analysis::flowStmt(AnalysisCtx &Ctx, FlowState &State,
                              const StmtRef &S) {
-  // State-invariant subtrees (no WriteConfig/WindowStmt/Call anywhere
-  // inside) are identities on the flow state; the memoized predicate makes
-  // this a constant-time skip of the If/For recursion below.
-  if (isStateInvariant(S))
-    return;
   switch (S->kind()) {
   case StmtKind::Assign:
   case StmtKind::Reduce:
@@ -116,6 +133,10 @@ void exo::analysis::flowStmt(AnalysisCtx &Ctx, FlowState &State,
     return;
   }
   case StmtKind::If: {
+    // Subtrees that reach no WriteConfig/WindowStmt, even through calls,
+    // are identities on the flow state; the memoized predicate skips them.
+    if (flowsAsIdentity(S))
+      return;
     TriBool Cond = Ctx.liftBool(S->rhs(), State.Env);
     FlowState ThenState = State, ElseState = State;
     flowBlock(Ctx, ThenState, S->body());
@@ -157,30 +178,16 @@ void exo::analysis::flowStmt(AnalysisCtx &Ctx, FlowState &State,
     // Aliases bound inside branches are out of scope afterwards.
     return;
   }
-  case StmtKind::For: {
-    // Stabilization heuristic (§5.3): run the body symbolically once; any
-    // global that does not provably return to its entry value is ⊥ both
-    // inside subsequent analysis and after the loop. The snapshot's probe
-    // cache computes exactly this (same copy/bind/flow/diff), so flows in
-    // incremental mode share its per-(node, env-slice) lines.
-    if (EffectSnapshot *Snap = activeEffectSnapshot()) {
-      havocKeys(Ctx, State.Env, Snap->loopStabilizedKeys(Ctx, S, State));
-      return;
-    }
-    FlowState BodyState = State;
-    BodyState.Env[S->name()] = Ctx.unknownInt(); // some iteration
-    flowBlock(Ctx, BodyState, S->body());
-    BodyState.Env.erase(S->name());
-    EffEnv Entry = State.Env;
-    std::vector<Sym> Changed = changedKeys(Entry, BodyState.Env);
-    havocKeys(Ctx, State.Env, Changed);
+  case StmtKind::For:
+    // Stabilization heuristic (§5.3): any global that does not provably
+    // return to its entry value across one body execution is ⊥ both inside
+    // subsequent analysis and after the loop.
+    havocKeys(Ctx, State.Env, stabilizedKeys(Ctx, S, State));
     return;
-  }
-  case StmtKind::Call: {
-    Block Body = substitutedCalleeBody(S);
-    flowBlock(Ctx, State, Body);
+  case StmtKind::Call:
+    if (!flowsAsIdentity(S))
+      flowBlock(Ctx, State, substitutedCalleeBody(S));
     return;
-  }
   }
 }
 

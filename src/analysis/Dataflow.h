@@ -64,6 +64,16 @@ std::vector<ir::Sym> changedKeys(const EffEnv &Before, const EffEnv &After);
 /// Sets every key in \p Keys to a fresh unknown.
 void havocKeys(AnalysisCtx &Ctx, EffEnv &Env, const std::vector<ir::Sym> &Keys);
 
+/// The stabilization probe of §5.3: the keys of \p Pre whose values are not
+/// provably restored by one symbolic execution of \p ForStmt's body (the
+/// caller havocs them). A body that flows as the identity changes no key
+/// and is not probed; otherwise the active EffectSnapshot serves the probe
+/// when one is set. The one probe behind flowStmt, computeContext and
+/// effect extraction.
+std::vector<ir::Sym> stabilizedKeys(AnalysisCtx &Ctx,
+                                    const ir::StmtRef &ForStmt,
+                                    const FlowState &Pre);
+
 /// The inlined body of a call statement: the callee's body with formal
 /// parameters substituted by the actual arguments and binders refreshed.
 /// Shared by the dataflow, the effect extraction, and inlineCall().

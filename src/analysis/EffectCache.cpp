@@ -8,6 +8,7 @@
 
 #include "ir/FreeVars.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstring>
@@ -36,6 +37,7 @@ struct CacheLine {
 struct StmtRecord {
   StmtRef Pin;
   int Invariant = -1; // -1 not yet computed, else 0/1
+  int Identity = -1;  // flowsAsIdentity; same encoding
   bool HaveFreeSyms = false;
   std::vector<Sym> FreeSyms; // sorted: freeVars(S) ∪ configFields(S)
   bool HaveLoopVar = false;
@@ -103,29 +105,21 @@ struct EffectCache {
   }
 };
 
-/// State-invariance walk; only If/For have statement children, and the
-/// three state-touching kinds poison the whole subtree.
+bool allStmts(const Block &B, bool (*Pred)(const StmtRef &)) {
+  return std::all_of(B.begin(), B.end(), Pred);
+}
+
+/// State-invariance walk: the three state-touching kinds poison the whole
+/// subtree (call bodies are not looked into).
 bool computeStateInvariant(const StmtRef &S) {
   switch (S->kind()) {
   case StmtKind::WriteConfig:
   case StmtKind::WindowStmt:
   case StmtKind::Call:
     return false;
-  case StmtKind::If:
-    for (auto &C : S->body())
-      if (!computeStateInvariant(C))
-        return false;
-    for (auto &C : S->orelse())
-      if (!computeStateInvariant(C))
-        return false;
-    return true;
-  case StmtKind::For:
-    for (auto &C : S->body())
-      if (!computeStateInvariant(C))
-        return false;
-    return true;
   default:
-    return true;
+    return allStmts(S->body(), computeStateInvariant) &&
+           allStmts(S->orelse(), computeStateInvariant);
   }
 }
 
@@ -740,6 +734,35 @@ bool exo::analysis::isStateInvariant(const StmtRef &S) {
   CacheShard &C = EffectCache::get().shardFor(S.get());
   std::lock_guard<std::mutex> Lock(C.M);
   return invariantLocked(C, S);
+}
+
+bool exo::analysis::flowsAsIdentity(const StmtRef &S) {
+  switch (S->kind()) {
+  case StmtKind::WriteConfig:
+  case StmtKind::WindowStmt:
+    return false;
+  case StmtKind::If:
+  case StmtKind::For:
+  case StmtKind::Call:
+    break;
+  default:
+    return true;
+  }
+  CacheShard &C = EffectCache::get().shardFor(S.get());
+  {
+    std::lock_guard<std::mutex> Lock(C.M);
+    if (int Known = recordFor(C, S).Identity; Known >= 0)
+      return Known == 1;
+  }
+  // Children and callee bodies live in other shards: recurse with no lock
+  // held. A racing thread computes the same bit.
+  bool Identity = allStmts(S->body(), flowsAsIdentity) &&
+                  allStmts(S->orelse(), flowsAsIdentity) &&
+                  (S->kind() != StmtKind::Call ||
+                   allStmts(S->proc()->body(), flowsAsIdentity));
+  std::lock_guard<std::mutex> Lock(C.M);
+  recordFor(C, S).Identity = Identity ? 1 : 0;
+  return Identity;
 }
 
 smt::TermVar exo::analysis::stableLoopVar(const StmtRef &ForStmt) {

@@ -74,8 +74,15 @@ struct EffectCacheStats {
 
 /// True iff extracting \p S can neither read nor write dataflow state: no
 /// WriteConfig, WindowStmt, or Call occurs in its subtree. Memoized per
-/// statement node; also used by flowStmt as an identity fast path.
+/// statement node; decides canonical-index eligibility.
 bool isStateInvariant(const ir::StmtRef &S);
+
+/// True iff flowing \p S leaves a FlowState unchanged: no WriteConfig or
+/// WindowStmt is reachable from it, looking through call bodies. Weaker
+/// than isStateInvariant (calls are transparent); flowStmt skips such
+/// statements and stabilizedKeys skips probing such loops. Memoized per
+/// statement node beside the invariance bit.
+bool flowsAsIdentity(const ir::StmtRef &S);
 
 /// The pinned loop-iteration solver variable for a For statement. Stable
 /// across extractions of the same node (a deliberate alpha choice that

@@ -6,7 +6,7 @@
 
 #include "analysis/EffectSnapshot.h"
 
-#include <functional>
+#include "analysis/Context.h"
 
 using namespace exo;
 using namespace exo::analysis;
@@ -75,28 +75,7 @@ EffectSnapshot::NodeRecord &EffectSnapshot::recordFor(const StmtRef &S) {
 /// the sub-linear step this file exists for.
 void EffectSnapshot::deriveCfg(const StmtRef &S) {
   std::set<Sym> Reads, Writes;
-  std::function<void(const ExprRef &)> Walk = [&](const ExprRef &E) {
-    if (!E)
-      return;
-    if (E->kind() == ExprKind::ReadConfig)
-      Reads.insert(E->field());
-    for (auto &C : childExprs(E))
-      Walk(C);
-  };
-  // Expression-level reads, mirroring collectConfigReads exactly.
-  for (auto &I : S->indices())
-    Walk(I);
-  if (S->Rhs)
-    Walk(S->Rhs);
-  if (S->kind() == StmtKind::For) {
-    Walk(S->lo());
-    Walk(S->hi());
-  }
-  if (S->kind() == StmtKind::Alloc)
-    for (auto &D : S->allocType().dims())
-      Walk(D);
-  if (S->kind() == StmtKind::WriteConfig)
-    Writes.insert(S->field());
+  ownConfigAccesses(S, Reads, Writes);
   if (S->kind() == StmtKind::Call)
     cfgOfBlock(S->proc()->body(), Reads, Writes);
   cfgOfBlock(S->body(), Reads, Writes);
@@ -221,9 +200,9 @@ std::set<Sym> EffectSnapshot::blockFreeVars(const Block &B) {
   return Free;
 }
 
-std::vector<Sym> EffectSnapshot::loopStabilizedKeys(AnalysisCtx &Ctx,
-                                                    const StmtRef &ForStmt,
-                                                    const FlowState &Pre) {
+std::vector<Sym> EffectSnapshot::loopStabilizedKeys(
+    const StmtRef &ForStmt, const FlowState &Pre,
+    const std::function<std::vector<Sym>()> &Probe) {
   assert(ForStmt->kind() == StmtKind::For && "not a loop");
   if (Table.size() >= MaxNodes) {
     Table.clear();
@@ -236,36 +215,28 @@ std::vector<Sym> EffectSnapshot::loopStabilizedKeys(AnalysisCtx &Ctx,
   // from canonical per-symbol solver variables. Entry window aliases
   // cannot influence it — the flow uses them only to compose further
   // aliases, never environment values.
-  {
+  if (!recordFor(ForStmt).HaveFreeSyms) {
+    std::set<Sym> Syms = blockFreeVars(ForStmt->body());
+    std::set<Sym> Rd, Wr;
+    cfgOfBlock(ForStmt->body(), Rd, Wr);
+    Syms.insert(Rd.begin(), Rd.end());
+    Syms.insert(Wr.begin(), Wr.end());
+    // cfgOfBlock may have flushed the table; re-fetch before storing.
     NodeRecord &R = recordFor(ForStmt);
-    if (!R.HaveFreeSyms) {
-      std::set<Sym> Syms = blockFreeVars(ForStmt->body());
-      std::set<Sym> Rd, Wr;
-      cfgOfBlock(ForStmt->body(), Rd, Wr);
-      Syms.insert(Rd.begin(), Rd.end());
-      Syms.insert(Wr.begin(), Wr.end());
-      // cfgOfBlock may have grown the table; re-fetch before storing.
-      NodeRecord &R2 = recordFor(ForStmt);
-      R2.FreeSyms = std::move(Syms);
-      R2.HaveFreeSyms = true;
-    }
+    R.FreeSyms = std::move(Syms);
+    R.HaveFreeSyms = true;
   }
-  NodeRecord &R = recordFor(ForStmt);
-  Fingerprint FP = fingerprintOf(R.FreeSyms, Pre);
-  for (const ProbeLine &Line : R.Probes)
+  Fingerprint FP = fingerprintOf(recordFor(ForStmt).FreeSyms, Pre);
+  for (const ProbeLine &Line : recordFor(ForStmt).Probes)
     if (fingerprintsEqual(Line.Env, FP)) {
       ++Stats.Hits;
       return Line.Changed;
     }
   ++Stats.Misses;
-
-  FlowState Probe = Pre;
-  Probe.Env[ForStmt->name()] = Ctx.unknownInt();
-  flowBlock(Ctx, Probe, ForStmt->body());
-  Probe.Env.erase(ForStmt->name());
-  std::vector<Sym> Changed = changedKeys(Pre.Env, Probe.Env);
-
-  // flowBlock does not touch our table, so R is still the live record.
+  std::vector<Sym> Changed = Probe();
+  // The probe's nested loops go through this table and may have flushed
+  // it, so the record is fetched afresh.
+  NodeRecord &R = recordFor(ForStmt);
   if (R.Probes.size() >= MaxProbesPerNode)
     R.Probes.clear();
   R.Probes.push_back(ProbeLine{std::move(FP), Changed});

@@ -19,9 +19,9 @@
 ///     — a block's set folds its children's cached sets under the
 ///     bindings earlier siblings introduce, so a rebuilt spine node
 ///     recomputes one level and shares the rest;
-///   - the loop-stabilization probe of computeContext — which effect-
-///     environment keys fail to provably return to their entry value
-///     across one symbolic body execution. That result additionally
+///   - the loop-stabilization probe (analysis::stabilizedKeys) — which
+///     effect-environment keys fail to provably return to their entry
+///     value across one symbolic body execution. That result additionally
 ///     depends on the binding environment on the spine, so each line is
 ///     fingerprinted by the environment slice of the body's free symbols
 ///     and configuration fields (the duplicated-environment hazard: the
@@ -35,7 +35,8 @@
 /// accept/reject verdicts and identical posed-query counts, run for run.
 ///
 /// A snapshot is thread-local state: activate it with
-/// ScopedEffectSnapshot and computeContext will consult it; deriveProc
+/// ScopedEffectSnapshot and computeContext, flowStmt and effect
+/// extraction will consult it; deriveProc
 /// notifies it of each rewrite so dirty-region entries are evicted
 /// eagerly. Unlike the process-wide EffectCache there is no locking — a
 /// snapshot belongs to one scheduling thread (one compile job).
@@ -48,6 +49,7 @@
 #include "analysis/Dataflow.h"
 #include "ir/Proc.h"
 
+#include <functional>
 #include <unordered_map>
 
 namespace exo {
@@ -60,6 +62,9 @@ struct EffectSnapshotStats {
   uint64_t Misses = 0;      ///< summaries (re)derived and stored
   uint64_t Invalidated = 0; ///< entries evicted by dirty-region advance
   uint64_t Evictions = 0;   ///< whole-table flushes on overflow
+  /// Stabilization probes not run at all because the loop body flows as
+  /// the identity; neither a hit nor a miss.
+  uint64_t ProbesSkipped = 0;
   size_t Nodes = 0;         ///< statement nodes currently tracked
 };
 
@@ -67,7 +72,7 @@ class EffectSnapshot {
 public:
   /// Unions the subtree's configuration read/write sets into the output
   /// sets, deriving and memoizing per-node summaries on the way. Matches
-  /// collectConfigReads/collectConfigWrites exactly.
+  /// collectConfigAccesses exactly.
   void configSets(const ir::StmtRef &S, std::set<ir::Sym> &Reads,
                   std::set<ir::Sym> &Writes);
 
@@ -77,14 +82,13 @@ public:
   /// allocation, or window binding within it.
   std::set<ir::Sym> blockFreeVars(const ir::Block &B);
 
-  /// The loop-stabilization probe of computeContext: the keys of \p Pre
-  /// whose values are not provably restored by one symbolic execution of
-  /// \p ForStmt's body. Cached per (node, environment-slice) line; a miss
-  /// runs the probe. The caller havocs the returned keys, exactly as the
-  /// uncached path does.
-  std::vector<ir::Sym> loopStabilizedKeys(AnalysisCtx &Ctx,
-                                          const ir::StmtRef &ForStmt,
-                                          const FlowState &Pre);
+  /// The loop-stabilization probe of stabilizedKeys for \p ForStmt under
+  /// \p Pre, cached per (node, environment-slice) line; a miss runs
+  /// \p Probe and stores its result.
+  std::vector<ir::Sym>
+  loopStabilizedKeys(const ir::StmtRef &ForStmt, const FlowState &Pre,
+                     const std::function<std::vector<ir::Sym>()> &Probe);
+  void noteProbeSkipped() { ++Stats.ProbesSkipped; }
 
   /// Notification from deriveProc: \p NewProc was derived from its parent
   /// with the recorded dirty region. Entries for the replaced statements

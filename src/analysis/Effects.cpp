@@ -170,11 +170,7 @@ static EffectSets extractStmtUncached(AnalysisCtx &Ctx, FlowState &State,
 
     // Stabilize globals (§5.3) before extracting the body's effect, so
     // coordinates do not use stale first-iteration values.
-    FlowState Probe = State;
-    Probe.Env[S->name()] = Ctx.unknownInt();
-    flowBlock(Ctx, Probe, S->body());
-    Probe.Env.erase(S->name());
-    std::vector<ir::Sym> Changed = changedKeys(State.Env, Probe.Env);
+    std::vector<ir::Sym> Changed = stabilizedKeys(Ctx, S, State);
     FlowState BodyState = State;
     havocKeys(Ctx, BodyState.Env, Changed);
 

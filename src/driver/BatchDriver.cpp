@@ -128,6 +128,7 @@ BatchResult BatchDriver::run(const std::vector<CompileJob> &Jobs) const {
       ++Out.NumRetried;
     Out.IncrementalHits += R.IncrementalHits;
     Out.IncrementalMisses += R.IncrementalMisses;
+    Out.IncrementalProbesSkipped += R.IncrementalProbesSkipped;
   }
   Out.Cache = CompilerCounters::global().since(Before);
   return Out;
@@ -148,7 +149,8 @@ static support::Json jobJson(const JobResult &J) {
       .set("solver", J.Solver.toJson())
       .set("query_cache", J.QueryCache.toJson())
       .set("incremental_hits", J.IncrementalHits)
-      .set("incremental_misses", J.IncrementalMisses);
+      .set("incremental_misses", J.IncrementalMisses)
+      .set("incremental_probes_skipped", J.IncrementalProbesSkipped);
   // Degraded jobs carry the schedule's failure alongside the reference
   // output, so report error detail for them too.
   if (!J.Ok || J.Degraded) {
@@ -177,6 +179,8 @@ support::Json exo::driver::batchJson(const BatchResult &R) {
       .set("retried", R.NumRetried)
       .set("cache", R.Cache.toJson()
                         .set("incremental_hits", R.IncrementalHits)
-                        .set("incremental_misses", R.IncrementalMisses))
+                        .set("incremental_misses", R.IncrementalMisses)
+                        .set("incremental_probes_skipped",
+                             R.IncrementalProbesSkipped))
       .set("jobs", std::move(Jobs));
 }

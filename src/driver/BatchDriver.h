@@ -50,6 +50,7 @@ struct BatchResult {
   /// EffectSnapshots (DESIGN.md, "Incremental analysis").
   uint64_t IncrementalHits = 0;
   uint64_t IncrementalMisses = 0;
+  uint64_t IncrementalProbesSkipped = 0;
 };
 
 /// Runs batches with a fixed worker count. Threads <= 1 runs inline on

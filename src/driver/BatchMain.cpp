@@ -123,9 +123,11 @@ void printResult(const BatchResult &R) {
               (unsigned long long)R.Cache.Solver.FastPathHits,
               (unsigned long long)R.Cache.Solver.FastPathMisses,
               (unsigned long long)R.Cache.Solver.NumLiterals);
-  std::printf("       incremental re-analysis: %llu hits / %llu misses\n",
+  std::printf("       incremental re-analysis: %llu hits / %llu misses, "
+              "%llu probes skipped\n",
               (unsigned long long)R.IncrementalHits,
-              (unsigned long long)R.IncrementalMisses);
+              (unsigned long long)R.IncrementalMisses,
+              (unsigned long long)R.IncrementalProbesSkipped);
   if (R.NumFailed || R.NumDegraded || R.NumDeadlineMiss || R.NumRetried)
     std::printf("       %u failed, %u degraded, %u deadline miss%s, "
                 "%u retried\n",

@@ -164,6 +164,7 @@ JobResult CompileSession::run(const CompileJob &Job) const {
     analysis::EffectSnapshotStats SS = Snapshot.stats();
     R.IncrementalHits = SS.Hits;
     R.IncrementalMisses = SS.Misses;
+    R.IncrementalProbesSkipped = SS.ProbesSkipped;
 
     if (!R.Ok && Opts.FallbackReference && Job.BuildReference) {
       // Graceful degradation: correct-but-unscheduled C beats no C. The

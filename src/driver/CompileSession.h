@@ -138,9 +138,11 @@ struct JobResult {
 
   /// Incremental re-analysis activity of the job's EffectSnapshot (zero
   /// when SessionOptions::UseEffectSnapshot is off): subtree summaries
-  /// served from the snapshot vs (re)derived.
+  /// served from the snapshot vs (re)derived, and stabilization probes
+  /// skipped outright because the loop body flows as the identity.
   uint64_t IncrementalHits = 0;
   uint64_t IncrementalMisses = 0;
+  uint64_t IncrementalProbesSkipped = 0;
 
   /// The job's deadline had passed by the time it finished (stamped by
   /// the session; the batch watchdog may also mark it).

@@ -85,8 +85,8 @@ Expected<ProcRef> exo::scheduling::configWriteAt(const Cursor &Stmt,
   const ProcRef &P = Stmt.proc();
   OpContext Op(P, *C);
   StmtRef S = Op.stmt();
-  std::set<Sym> SelfReads;
-  collectConfigReads(S, SelfReads);
+  std::set<Sym> SelfReads, SelfWrites;
+  collectConfigAccesses({S}, SelfReads, SelfWrites);
   ConfigInsertion Ins(P, Op, Cfg, Field, ValueSrc, SelfReads);
   if (Ins.Err)
     return *Ins.Err;
@@ -102,8 +102,8 @@ Expected<ProcRef> exo::scheduling::configWriteRoot(const ProcRef &P,
   StmtCursor Top;
   Top.Begin = 0;
   Top.End = 0; // empty selection at the very start
-  std::set<Sym> SelfReads;
-  collectConfigReads(P->body(), SelfReads);
+  std::set<Sym> SelfReads, SelfWrites;
+  collectConfigAccesses(P->body(), SelfReads, SelfWrites);
   OpContext Op(P, Top);
   ConfigInsertion Ins(P, Op, Cfg, Field, ValueSrc, SelfReads);
   if (Ins.Err)

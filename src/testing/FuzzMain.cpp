@@ -122,14 +122,16 @@ void printReport(const FuzzReport &R) {
                               : 0.0);
   if (S.DifferentialSteps) {
     std::printf("      differential: %u steps, %u mismatches; snapshot "
-                "%llu hits / %llu misses (%.0f%% hit rate)\n",
+                "%llu hits / %llu misses (%.0f%% hit rate), %llu probes "
+                "skipped\n",
                 S.DifferentialSteps, S.DifferentialMismatches,
                 (unsigned long long)S.IncrementalHits,
                 (unsigned long long)S.IncrementalMisses,
                 S.IncrementalHits + S.IncrementalMisses
                     ? 100.0 * S.IncrementalHits /
                           (S.IncrementalHits + S.IncrementalMisses)
-                    : 0.0);
+                    : 0.0,
+                (unsigned long long)S.IncrementalProbesSkipped);
     for (const std::string &N : R.DifferentialNotes)
       std::printf("  MISMATCH %s\n", N.c_str());
   }

@@ -213,6 +213,7 @@ Expected<FuzzReport> exo::testing::runFuzz(const FuzzOptions &O) {
       S.DifferentialMismatches += SR.DifferentialMismatches;
       S.IncrementalHits += SR.IncrementalHits;
       S.IncrementalMisses += SR.IncrementalMisses;
+      S.IncrementalProbesSkipped += SR.IncrementalProbesSkipped;
       S.CursorChecks += SR.CursorChecks;
       S.CursorInvalidated += SR.CursorInvalidated;
       S.CursorMismatches += SR.CursorMismatches;
@@ -370,6 +371,7 @@ support::Json exo::testing::statsJson(const FuzzReport &R,
       .set("differential_mismatches", S.DifferentialMismatches)
       .set("incremental_hits", S.IncrementalHits)
       .set("incremental_misses", S.IncrementalMisses)
+      .set("incremental_probes_skipped", S.IncrementalProbesSkipped)
       .set("cursor_checks", S.CursorChecks)
       .set("cursor_invalidated", S.CursorInvalidated)
       .set("cursor_mismatches", S.CursorMismatches)

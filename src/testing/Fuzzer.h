@@ -74,6 +74,7 @@ struct FuzzStats {
   unsigned DifferentialMismatches = 0;
   uint64_t IncrementalHits = 0;   ///< EffectSnapshot hits across schedules
   uint64_t IncrementalMisses = 0; ///< EffectSnapshot misses across schedules
+  uint64_t IncrementalProbesSkipped = 0; ///< identity-body probes not run
   /// Cursor-forwarding property tallies (ScheduleGenOptions::CheckCursors):
   /// random cursors planted before each accepted step and forwarded across
   /// it; a contract violation is a mismatch, an explicit invalidation is a

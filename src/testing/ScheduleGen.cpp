@@ -1171,6 +1171,7 @@ ScheduleResult exo::testing::generateSchedule(const ProcRef &P, Rng &R,
     analysis::EffectSnapshotStats SS = Snap.stats();
     Res.IncrementalHits = SS.Hits;
     Res.IncrementalMisses = SS.Misses;
+    Res.IncrementalProbesSkipped = SS.ProbesSkipped;
   }
   return Res;
 }

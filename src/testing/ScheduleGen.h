@@ -133,6 +133,7 @@ struct ScheduleResult {
   std::vector<std::string> DifferentialNotes; ///< one line per mismatch
   uint64_t IncrementalHits = 0;   ///< snapshot cache hits over the schedule
   uint64_t IncrementalMisses = 0; ///< snapshot cache misses over the schedule
+  uint64_t IncrementalProbesSkipped = 0; ///< identity-body probes not run
   /// Cursor-forwarding tallies (zero unless ScheduleGenOptions::CheckCursors).
   unsigned CursorChecks = 0;      ///< cursors planted and forwarded
   unsigned CursorInvalidated = 0; ///< explicit invalidations (a valid fate)

@@ -350,6 +350,13 @@ TEST(BatchDriverTest, BatchJsonParsesAndCarriesCountersAndErrors) {
   EXPECT_EQ(Bad.getString("error_kind"), R.Jobs[1].ErrorKind);
   EXPECT_NE(at(JobsJ->items()[0], "solver.queries"), nullptr);
   EXPECT_NE(at(JobsJ->items()[0], "query_cache.cross_job_hits"), nullptr);
+  // The tiled gemm's loops flow as identities, so their stabilization
+  // probes are skipped and reported per job and per batch.
+  EXPECT_GT(R.Jobs[0].IncrementalProbesSkipped, 0u);
+  EXPECT_EQ(at(JobsJ->items()[0], "incremental_probes_skipped")->asInt(),
+            static_cast<int64_t>(R.Jobs[0].IncrementalProbesSkipped));
+  EXPECT_EQ(at(*J, "cache.incremental_probes_skipped")->asInt(),
+            static_cast<int64_t>(R.IncrementalProbesSkipped));
 }
 
 TEST(BatchDriverTest, StandardSuiteIsWellFormed) {
