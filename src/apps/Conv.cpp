@@ -144,6 +144,15 @@ exo::apps::buildConvX86PixelTiled(const ConvShape &Shape) {
       .split("i1 #0", 16, "zv", "zl", SplitTail::Perfect)
       .split("oci", 16, "ov", "ol", SplitTail::Perfect)
       .split("i1 #0", 16, "sv", "sl", SplitTail::Perfect)
+      // Pack the weights into a 64-byte-aligned DRAM buffer, so no wvec
+      // row load straddles two cache lines. After the splits, whose
+      // "i1 #0" would otherwise find wp's copy-in loops; before
+      // instruction selection, after which the wvec copy-in passes w to
+      // a call and stage refuses to redirect it.
+      .stage("for n in _: _", 1,
+             "w[0 : " + S(Shape.KH) + ", 0 : " + S(Shape.KW) + ", 0 : " +
+                 S(Shape.IC) + ", 0 : " + S(Shape.OC) + "]",
+             "wp", "DRAM")
       .simplify()
       // Instruction selection.
       .replaceWith("for zl in _: _", 1, HW.ZeroPs)

@@ -56,8 +56,10 @@ Expected<ConvKernels> buildConvX86(const ConvShape &S);
 /// The register-blocked x86 conv: a PT x 64 tile of output pixels x
 /// channels (PT = the largest divisor of ow() <= 6) accumulated in vector
 /// registers across the kernel window, each 64-wide weight row loaded
-/// once per input channel and reused by all PT pixels. Needs OC % 64 == 0
-/// and PT >= 2; buildConvX86 picks it whenever those hold.
+/// once per input channel and reused by all PT pixels. The weights are
+/// first packed into a 64-byte-aligned buffer wp, from which those rows
+/// are loaded. Needs OC % 64 == 0 and PT >= 2; buildConvX86 picks it
+/// whenever those hold.
 Expected<ConvKernels> buildConvX86PixelTiled(const ConvShape &S);
 
 /// Gemmini conv (ReLU applied by the caller; see EXPERIMENTS.md).

@@ -37,7 +37,9 @@ struct SgemmKernels {
 /// is the paper's choice; ablation_microkernel_shape sweeps others. When
 /// B is larger than half of L2 and K has a divisor KC in [16, 256], the
 /// schedule also packs B into KC x ColTile panels (scheduling::cacheBlock;
-/// the largest such KC).
+/// the largest such KC). When B is larger than L1d but at most half of
+/// L2, it packs K x ColTile panels instead (KC = K): the 64-byte-aligned
+/// panel keeps the micro-kernel's B loads on single cache lines.
 Expected<SgemmKernels> buildSgemm(int64_t M, int64_t N, int64_t K,
                                   int64_t RowTile = 6, int64_t ColTile = 64);
 

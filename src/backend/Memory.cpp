@@ -9,32 +9,51 @@
 using namespace exo;
 using namespace exo::backend;
 
-Memory::~Memory() = default;
-
-std::string Memory::allocCode(const AllocInfo &Info) const {
+std::string AllocInfo::countExpr() const {
   std::string Size;
-  for (const std::string &D : Info.DimExprs) {
+  for (const std::string &D : DimExprs) {
     if (!Size.empty())
       Size += " * ";
     Size += "(" + D + ")";
   }
-  if (Size.empty())
-    Size = "1";
-  if (Info.ConstSize && Info.TotalConstSize <= 4096)
-    return Info.PrimType + " " + Info.Name + "[" + Size + "];";
+  return Size.empty() ? "1" : Size;
+}
+
+Memory::~Memory() = default;
+
+std::string Memory::allocCode(const AllocInfo &Info) const {
+  if (Info.onStack())
+    return Info.PrimType + " " + Info.Name + "[" + Info.countExpr() + "];";
   return Info.PrimType + " *" + Info.Name + " = (" + Info.PrimType +
-         " *)malloc(" + Size + " * sizeof(" + Info.PrimType + "));";
+         " *)malloc(" + Info.countExpr() + " * sizeof(" + Info.PrimType +
+         "));";
 }
 
 std::string Memory::freeCode(const AllocInfo &Info) const {
-  if (Info.ConstSize && Info.TotalConstSize <= 4096)
-    return "";
-  return "free(" + Info.Name + ");";
+  return Info.onStack() ? "" : "free(" + Info.Name + ");";
 }
 
-MemoryRegistry::MemoryRegistry() {
-  add(std::make_shared<Memory>("DRAM", /*Addressable=*/true));
-}
+namespace {
+
+/// The default DRAM: the base class's stack/heap split, every buffer
+/// 64-byte aligned (see MemoryRegistry).
+class DramMemory : public Memory {
+public:
+  DramMemory() : Memory("DRAM", /*Addressable=*/true) {}
+
+  std::string allocCode(const AllocInfo &Info) const override {
+    if (Info.onStack())
+      return Info.PrimType + " " + Info.Name + "[" + Info.countExpr() +
+             "] __attribute__((aligned(64)));";
+    return Info.PrimType + " *" + Info.Name + " = (" + Info.PrimType +
+           " *)aligned_alloc(64, (" + Info.countExpr() + " * sizeof(" +
+           Info.PrimType + ") + 63) / 64 * 64);";
+  }
+};
+
+} // namespace
+
+MemoryRegistry::MemoryRegistry() { add(std::make_shared<DramMemory>()); }
 
 MemoryRegistry &MemoryRegistry::instance() {
   static MemoryRegistry R;

@@ -36,10 +36,17 @@ struct AllocInfo {
   std::vector<std::string> DimExprs; ///< C expressions for each dimension
   bool ConstSize;         ///< every dimension is a literal
   long long TotalConstSize; ///< product of dims when ConstSize
+
+  /// C expression for the element count: the product of DimExprs.
+  std::string countExpr() const;
+  /// The default memories keep small constant-size buffers on the stack.
+  bool onStack() const { return ConstSize && TotalConstSize <= 4096; }
 };
 
 /// Base class for memory definitions. Subclass and override the hooks;
-/// the defaults implement ordinary heap allocation.
+/// the defaults implement ordinary heap allocation. (The registered DRAM
+/// overrides them to align every buffer to 64 bytes; hardware memories
+/// that wrap the defaults keep the plain spelling.)
 class Memory {
 public:
   Memory(std::string Name, bool Addressable)
@@ -71,6 +78,11 @@ private:
 using MemoryRef = std::shared_ptr<const Memory>;
 
 /// Process-wide registry of memory definitions; "DRAM" is pre-registered.
+/// DRAM buffers start on a 64-byte boundary — one cache line, one zmm
+/// vector — so vector loads from a buffer the compiler allocated (a
+/// packed panel) never straddle two lines: stack arrays carry
+/// `__attribute__((aligned(64)))` and heap buffers come from
+/// `aligned_alloc(64, ...)` with their byte size rounded up to 64.
 /// Thread-safe: hardware libraries register memories lazily from whichever
 /// compile session touches them first, while codegen on other sessions
 /// looks memories up concurrently.

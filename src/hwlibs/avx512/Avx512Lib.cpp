@@ -21,15 +21,7 @@ public:
   Avx512Memory() : backend::Memory("AVX512", /*Addressable=*/true) {}
 
   std::string allocCode(const backend::AllocInfo &Info) const override {
-    std::string Size;
-    for (const std::string &D : Info.DimExprs) {
-      if (!Size.empty())
-        Size += " * ";
-      Size += "(" + D + ")";
-    }
-    if (Size.empty())
-      Size = "1";
-    return Info.PrimType + " " + Info.Name + "[" + Size +
+    return Info.PrimType + " " + Info.Name + "[" + Info.countExpr() +
            "] __attribute__((aligned(64)));";
   }
 

@@ -6,9 +6,13 @@
 
 #include "backend/CodeGen.h"
 
+#include "apps/Conv.h"
+#include "apps/Sgemm.h"
 #include "backend/Backend.h"
 #include "backend/Checks.h"
 #include "backend/Memory.h"
+#include "hwlibs/amx/AmxLib.h"
+#include "hwlibs/gemmini/GemminiLib.h"
 #include "interp/Interp.h"
 #include "scheduling/Schedule.h"
 
@@ -121,6 +125,70 @@ def f(x: R[8]):
   auto C = generateC(P);
   ASSERT_FALSE(bool(C));
   EXPECT_EQ(C.error().kind(), Error::Kind::Backend);
+}
+
+/// The buffer each exo_mm512_loadu_ps call in \p C reads: the name in
+/// its source window, `..., &(exo_win_1f32){ &(NAME[...]), ... }...);`.
+std::vector<std::string> vectorLoadSources(const std::string &C) {
+  const std::string Call = "exo_mm512_loadu_ps(", Src = "}.data[0], ";
+  std::vector<std::string> Names;
+  for (size_t At = C.find(Call); At != std::string::npos;
+       At = C.find(Call, At + 1)) {
+    size_t Begin = C.find("&(", C.find("{ ", C.find(Src, At))) + 2;
+    Names.push_back(C.substr(Begin, C.find('[', Begin) - Begin));
+  }
+  return Names;
+}
+
+TEST(CodeGenTest, DramBuffersAre64ByteAligned) {
+  // The DRAM allocation rule: stack arrays carry aligned(64), heap
+  // buffers come from aligned_alloc(64, ...) with the byte size rounded
+  // up to 64, and both are freed the way they were allocated.
+  MemoryRef Dram = MemoryRegistry::instance().find("DRAM");
+  ASSERT_TRUE(Dram);
+  AllocInfo Small{"t", "float", {"6", "16"}, true, 96};
+  EXPECT_EQ(Dram->allocCode(Small),
+            "float t[(6) * (16)] __attribute__((aligned(64)));");
+  EXPECT_EQ(Dram->freeCode(Small), "");
+  AllocInfo Big{"bp", "float", {"192", "64"}, true, 192 * 64};
+  EXPECT_EQ(Dram->allocCode(Big),
+            "float *bp = (float *)aligned_alloc(64, ((192) * (64) * "
+            "sizeof(float) + 63) / 64 * 64);");
+  EXPECT_EQ(Dram->freeCode(Big), "free(bp);");
+  AllocInfo Dynamic{"d", "double", {"n"}, false, 1};
+  EXPECT_NE(Dram->allocCode(Dynamic).find(
+                "aligned_alloc(64, ((n) * sizeof(double) + 63) / 64 * 64)"),
+            std::string::npos);
+
+  // The scratchpad and tile memories wrap the plain defaults: their
+  // stack arrays are spelled as before.
+  hw::gemmini::gemminiLib();
+  hw::amx::amxLib();
+  AllocInfo Tile{"res", "float", {"16", "16"}, true, 256};
+  EXPECT_EQ(MemoryRegistry::instance().find("GEMM_ACC")->allocCode(Tile),
+            "float res[(16) * (16)]; gemmini_acc_track(res, (16) * (16));");
+  EXPECT_EQ(MemoryRegistry::instance().find("AMX_TILE")->allocCode(Tile),
+            "float res[(16) * (16)]; amx_tile_track(res, (16) * (16));");
+}
+
+TEST(CodeGenTest, VectorLoadsReadOnlyAlignedPanels) {
+  // The 192^3 SGEMM packs B into bp and the Fig. 6 conv packs w into wp:
+  // every 64-byte vector load reads a compiler-allocated buffer, never
+  // the caller's B or w, wherever the caller's arrays sit.
+  auto Sgemm = apps::buildSgemm(192, 192, 192);
+  ASSERT_TRUE(bool(Sgemm)) << Sgemm.error().str();
+  auto Conv = apps::buildConvX86({5, 102, 82, 128, 128});
+  ASSERT_TRUE(bool(Conv)) << Conv.error().str();
+  for (auto [Proc, Panel] : {std::pair{Sgemm->ExoSgemm, "bp"},
+                             std::pair{Conv->Scheduled, "wp"}}) {
+    auto C = generateC(Proc);
+    ASSERT_TRUE(bool(C)) << C.error().str();
+    EXPECT_NE(C->find("aligned_alloc(64, "), std::string::npos) << *C;
+    std::vector<std::string> Srcs = vectorLoadSources(*C);
+    ASSERT_FALSE(Srcs.empty()) << *C;
+    for (const std::string &Src : Srcs)
+      EXPECT_EQ(Src, Panel) << *C;
+  }
 }
 
 TEST(CodeGenTest, MixedPrecisionRejected) {

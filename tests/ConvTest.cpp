@@ -78,6 +78,13 @@ TEST(ConvX86Test, PixelTiledMatchesReference) {
       << Printed;
   EXPECT_NE(Printed.find("wvec : f32[64] @ AVX512"), std::string::npos)
       << Printed;
+  // The weights are packed into the aligned buffer wp, and the weight
+  // rows are loaded from there, never from the argument w.
+  EXPECT_NE(Printed.find("wp : f32[3, 3, 16, 64]"), std::string::npos)
+      << Printed;
+  EXPECT_NE(Printed.find("mm512_loadu_ps(wvec[0:16], wp["), std::string::npos)
+      << Printed;
+  EXPECT_EQ(Printed.find(", w["), std::string::npos) << Printed;
   std::vector<double> Ref = runConv(K->Algorithm, S, false);
   std::vector<double> Exo = runConv(K->Scheduled, S, false);
   ASSERT_EQ(Ref.size(), Exo.size());
@@ -91,11 +98,17 @@ TEST(ConvX86Test, PixelTiledNeedsAChannelAndPixelTile) {
 }
 
 TEST(ConvX86Test, ShapeSelectsThePixelTile) {
+  // The pixel-tiled schedule loads wvec rows, from the packed wp; the
+  // plain one does neither.
   auto PixelTiled = [](const ConvShape &S) {
     auto K = buildConvX86(S);
     if (!K)
       fatalError("conv schedule failed: " + K.error().str());
-    return printProc(K->Scheduled).find("wvec") != std::string::npos;
+    std::string Printed = printProc(K->Scheduled);
+    bool Tiled = Printed.find("wvec") != std::string::npos;
+    EXPECT_EQ(Tiled, Printed.find("wp : f32[") != std::string::npos)
+        << Printed;
+    return Tiled;
   };
   // The Fig. 6 layer (PT 5) and a small OC = 64 conv (PT 5).
   EXPECT_TRUE(PixelTiled({5, 102, 82, 128, 128}));

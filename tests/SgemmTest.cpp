@@ -144,25 +144,45 @@ TEST(SgemmCacheBlockTest, BlockedKernelMatchesReference) {
   expectSameResult(Kr->Algorithm, Kr->ExoSgemm, M, N, K);
 }
 
+TEST(SgemmCacheBlockTest, PackOnlyKernelMatchesReference) {
+  // The smallest kind of shape the pack-only tier packs: B is 128 x 128
+  // floats (64 KiB, above L1d, below L2/2), so KC = K, the ko loop runs
+  // once and the whole of B's column tile is one panel.
+  const int64_t M = 96, N = 128, K = 128;
+  auto Kr = apps::buildSgemm(M, N, K);
+  ASSERT_TRUE(bool(Kr)) << Kr.error().str();
+  std::string S = printProc(Kr->ExoSgemm);
+  ASSERT_NE(S.find("bp : f32[128, 64]"), std::string::npos) << S;
+  EXPECT_NE(S.find("for ko in seq(0, 1)"), std::string::npos) << S;
+  expectSameResult(Kr->Algorithm, Kr->ExoSgemm, M, N, K);
+}
+
 TEST(SgemmCacheBlockTest, FootprintGateSelectsThePanel) {
-  auto HasPanel = [](int64_t M, int64_t N, int64_t K) {
+  // The panel's declaration, or "" when B stays unpacked.
+  auto PanelOf = [](int64_t M, int64_t N, int64_t K) {
     auto Kr = apps::buildSgemm(M, N, K);
     if (!Kr)
       fatalError("sgemm schedule failed: " + Kr.error().str());
-    return printProc(Kr->ExoSgemm).find("bp : f32[") != std::string::npos;
+    std::string S = printProc(Kr->ExoSgemm);
+    size_t At = S.find("bp : f32[");
+    return At == std::string::npos ? std::string()
+                                   : S.substr(At, S.find(']', At) + 1 - At);
   };
-  EXPECT_TRUE(HasPanel(768, 768, 768));
-  EXPECT_TRUE(HasPanel(126, 2048, 512));
-  // B fits in half of L2: the suite and in-cache shapes stay unblocked.
-  EXPECT_FALSE(HasPanel(384, 384, 384));
-  EXPECT_FALSE(HasPanel(48, 128, 64));
-  EXPECT_FALSE(HasPanel(510, 512, 512));
+  // B beyond L2/2: KC-blocked panels.
+  EXPECT_EQ(PanelOf(768, 768, 768), "bp : f32[256, 64]");
+  EXPECT_EQ(PanelOf(126, 2048, 512), "bp : f32[256, 64]");
+  // B between L1d and L2/2: packed whole (KC = K) for the aligned panel.
+  EXPECT_EQ(PanelOf(384, 384, 384), "bp : f32[384, 64]");
+  EXPECT_EQ(PanelOf(510, 512, 512), "bp : f32[512, 64]");
+  // B within L1d (32 and 48 KiB): the suite's shapes stay unpacked.
+  EXPECT_EQ(PanelOf(48, 128, 64), "");
+  EXPECT_EQ(PanelOf(24, 192, 64), "");
   // B outgrows L2/2, but K's largest divisor <= 256 is below 16: a prime
-  // K (no divisor at all), K = 2 * 521 (KC would be 2). K = 16 * 257
-  // has KC = 16 and is blocked.
-  EXPECT_FALSE(HasPanel(6, 512, 1031));
-  EXPECT_FALSE(HasPanel(6, 512, 1042));
-  EXPECT_TRUE(HasPanel(6, 512, 4112));
+  // K (no divisor at all), K = 2 * 521 (KC would be 2). Neither tier
+  // packs them. K = 16 * 257 has KC = 16 and is blocked.
+  EXPECT_EQ(PanelOf(6, 512, 1031), "");
+  EXPECT_EQ(PanelOf(6, 512, 1042), "");
+  EXPECT_EQ(PanelOf(6, 512, 4112), "bp : f32[16, 64]");
 }
 
 TEST(SgemmAppTest, GeneratesVectorC) {
